@@ -6,22 +6,28 @@ machine word (m is capped at 16). The modulus is checked for
 irreducibility at construction by exhaustive trial division, which is
 instant at these degrees.
 
-Multiplication is schoolbook shift-and-reduce. For m <= 8 a context
-builds log/antilog tables by default and routes products through them;
-the two paths are interchangeable and are equality-tested against each
-other in the test suite.
+Every field multiplies, inverts and raises to powers through one pair
+of log/antilog tables, kept as `array('H')` above m = 8 (0.4 MB at
+m = 16, where int lists would take 5.75 MB). A context fetches them on
+its first arithmetic call from a process-wide cache keyed by
+(m, modulus), so construction stays cheap and each field's tables are
+built once; fetching is idempotent, so contexts stay safe to share
+across threads. Schoolbook multiplication only builds them.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from functools import lru_cache
+from math import gcd
 
 from .errors import BadDegreeError, OutOfRangeError, ParseError, ReducibleModulusError
-from .modular import factorize
 
 MAX_DEGREE = 16
 
 _HEX_LITERAL = re.compile(r"0[xX][0-9A-Fa-f]+\Z")
+_HEX_NUMBER = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+\Z")
 _POLY_TERM = re.compile(r"(?:0|1|([axα])(?:\^(\d+))?)\Z")
 
 
@@ -51,14 +57,60 @@ def is_irreducible(mask: int) -> bool:
     return True
 
 
+def _mul_schoolbook(a: int, b: int, modulus: int) -> int:
+    """Shift-and-reduce product; only builds the tables."""
+    top = 1 << poly_degree(modulus)
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return r
+
+
+@lru_cache(maxsize=None)
+def _tables(m: int, modulus: int) -> tuple:
+    """Antilog and log tables of GF(2^m) mod `modulus`, one pair per field
+    in the process.
+
+    exp[i] = g^i for the smallest generator g and 0 <= i < 2(q-1), so a
+    sum of two logs indexes exp without reduction; log[0] is unused.
+    Candidates are walked in order, and a candidate's walk becomes the
+    table unless it returns to 1 before q-1 steps.
+    """
+    q = 1 << m
+    n = q - 1
+    exp = array("H", bytes(4 * n))
+    log = array("H", bytes(2 * q))
+    for gen in range(1, q):
+        x = 1
+        for i in range(n):
+            if x == 1 and i:
+                break  # order i < q-1: not a generator
+            exp[i] = x
+            log[x] = i
+            x = _mul_schoolbook(x, gen, modulus)
+        else:
+            exp[n:] = exp[:n]
+            if m <= 8:  # entries are cached small ints: a list costs no more and indexes faster
+                return exp.tolist(), log.tolist()
+            return exp, log
+    raise AssertionError("unreachable: GF(2^m)* is cyclic")
+
+
 class GF2m:
     """A field GF(2^m), 1 <= m <= 16, fixed by an irreducible modulus.
 
-    Immutable after construction; safe to share across threads. All
-    arithmetic methods are pure functions of int-encoded elements.
+    Immutable after construction and safe to share across threads. All
+    arithmetic methods are pure functions of int-encoded elements; they
+    fetch the field's shared log/antilog tables on their first call, so
+    constructing a context builds no tables.
     """
 
-    def __init__(self, m: int, modulus: int, use_tables: bool | None = None):
+    def __init__(self, m: int, modulus: int):
         if not 1 <= m <= MAX_DEGREE:
             raise BadDegreeError(f"extension degree must be in 1..{MAX_DEGREE}, got {m}")
         if poly_degree(modulus) != m:
@@ -72,13 +124,12 @@ class GF2m:
         self.m = m
         self.modulus = modulus
         self.q = 1 << m
-        self._group_factors: list[tuple[int, int]] | None = None  # factorization of q-1
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        if use_tables is None:
-            use_tables = m <= 8
-        if use_tables:
-            self._build_tables()
+        self._exp = self._log = None
+
+    def _load_tables(self) -> None:
+        exp, log = _tables(self.m, self.modulus)
+        self._log = log
+        self._exp = exp  # stored last: once _exp is set, _log is too
 
     # -- identity / hashing: contexts are equal iff they define the same field
 
@@ -100,105 +151,47 @@ class GF2m:
 
     sub = add
 
-    def _mul_schoolbook(self, a: int, b: int) -> int:
-        r = 0
-        top = self.q
-        mod = self.modulus
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return r
-
     def mul(self, a: int, b: int) -> int:
         """Product (a*b) mod modulus."""
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_schoolbook(a, b)
+        if a == 0 or b == 0:
+            return 0
+        if self._exp is None:
+            self._load_tables()
+        return self._exp[self._log[a] + self._log[b]]
 
     def pow(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply; a^0 = 1 for every a."""
+        """a^e for e >= 0; a^0 = 1 for every a, including 0."""
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        if a == 0:
+            return 0 if e else 1
+        if self._exp is None:
+            self._load_tables()
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via a^(2^m - 2)."""
+        """Multiplicative inverse: g^(q-1-log a) for the table generator g."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        if self._exp is None:
+            self._load_tables()
+        return self._exp[self.q - 1 - self._log[a]]
 
     # -- multiplicative structure
 
-    def group_factors(self) -> list[tuple[int, int]]:
-        """Cached prime factorization of the group order 2^m - 1."""
-        if self._group_factors is None:
-            self._group_factors = factorize(self.q - 1)
-        return self._group_factors
-
     def is_primitive(self, a: int) -> bool:
-        """True iff a generates the multiplicative group.
-
-        Checks a^((q-1)/p) != 1 for each prime p dividing q-1.
-        """
+        """True iff a generates the multiplicative group: gcd(log a, q-1) = 1."""
         if a == 0:
             return False
-        n = self.q - 1
-        if n == 1:
-            return a == 1
-        return all(self.pow(a, n // p) != 1 for p, _ in self.group_factors())
+        if self._exp is None:
+            self._load_tables()
+        return gcd(self._log[a], self.q - 1) == 1
 
     def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group."""
-        for cand in range(1, self.q):
-            if self.is_primitive(cand):
-                return cand
-        raise AssertionError("unreachable: GF(2^m)* is cyclic")
-
-    def _build_tables(self):
-        gen = self._find_generator()
-        n = self.q - 1
-        exp = [0] * (2 * n)
-        log = [0] * self.q
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            exp[i + n] = x
-            log[x] = i
-            x = self._mul_schoolbook(x, gen)
-        self._exp = exp
-        self._log = log
-
-    def _find_generator(self) -> int:
-        # order walk instead of is_primitive: keeps table construction
-        # independent of the factorization-based primitivity check
-        for cand in range(2, self.q):
-            x = cand
-            steps = 1
-            while x != 1:
-                x = self._mul_schoolbook(x, cand)
-                steps += 1
-            if steps == self.q - 1:
-                return cand
-        return 1  # m == 1
-
-    @property
-    def uses_tables(self) -> bool:
-        return self._exp is not None
+        """Smallest generator of the multiplicative group: the tables' base."""
+        if self._exp is None:
+            self._load_tables()
+        return self._exp[1]
 
     # -- parsing and formatting
 
@@ -271,10 +264,15 @@ class GF2m:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GF2m":
-        try:
-            m = int(obj["m"])
-            poly = obj["poly"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad field block {obj!r}") from exc
-        modulus = int(poly, 16) if isinstance(poly, str) else int(poly)
-        return cls(m, modulus)
+        """Read a field block; m must be a JSON integer and poly a hex string
+        or an integer (booleans and fractions are rejected, not coerced)."""
+        if not isinstance(obj, dict) or not {"m", "poly"} <= obj.keys():
+            raise ParseError(f"field block needs keys 'm' and 'poly', got {obj!r}")
+        m, poly = obj["m"], obj["poly"]
+        if type(m) is not int:
+            raise ParseError(f"field block 'm' must be an integer, got {m!r}")
+        if isinstance(poly, str) and _HEX_NUMBER.match(poly):
+            poly = int(poly, 16)
+        if type(poly) is not int:
+            raise ParseError(f"field block 'poly' must be a hex string or an integer, got {poly!r}")
+        return cls(m, poly)

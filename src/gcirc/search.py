@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator
 
-from .circulant import GCirculantSpec, build_g_circulant, shifted_convolution, square_structured
+from .circulant import GCirculantSpec, build_g_circulant, square_structured
 from .errors import ConfigError, ResumeTokenError, SingularMatrixError, SpaceTooLargeError
 from .field import GF2m
 from .properties import (
@@ -29,6 +29,7 @@ from .properties import (
     full_report,
     involutory_g_filter,
     is_mds,
+    left_circulant_involutory_conditions,
 )
 
 CANDIDATE_CAP = 1 << 24
@@ -138,11 +139,7 @@ class SearchJob:
             return tuple(
                 _hash_entry(self.row_space.seed, ordinal, pos, q) for pos in range(self.k)
             )
-        tail = _base_q_digits(ordinal, q, self.k - 1)
-        c0 = 1
-        for c in tail:
-            c0 ^= c
-        return (c0, *tail)
+        return _constrained_row(ordinal, q, self.k)
 
 
 @dataclass(frozen=True)
@@ -157,6 +154,15 @@ def _base_q_digits(value: int, q: int, length: int) -> tuple[int, ...]:
     for pos in range(length - 1, -1, -1):
         value, digits[pos] = divmod(value, q)
     return tuple(digits)
+
+
+def _constrained_row(ordinal: int, q: int, k: int) -> tuple[int, ...]:
+    """c_1..c_{k-1} are the base-q digits of ordinal; c_0 = 1 + their sum."""
+    tail = _base_q_digits(ordinal, q, k - 1)
+    c0 = 1
+    for c in tail:
+        c0 ^= c
+    return (c0, *tail)
 
 
 def _hash_entry(seed: int, ordinal: int, pos: int, q: int) -> int:
@@ -228,27 +234,13 @@ def constrained_left_circulant_rows(
     1 + sum of the rest, and rows failing the vanishing convolution
     sums are dropped before any matrix is built.
     """
-    job = SearchJob(
-        ctx,
-        k,
-        Target.INVOLUTORY_MDS,
-        RowSpace(RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT),
-        g_set=((k - 1) % k,),
-    )
-    end = job.per_g_size() if stop is None else stop
-    g = (k - 1) % k
+    if k < 1:
+        raise ConfigError(f"order must be >= 1, got {k}")
+    end = ctx.q ** (k - 1) if stop is None else stop
     for ordinal in range(start, end):
-        row = job.row_at(g, ordinal)
-        if _left_circulant_quadratic_ok(ctx, row):
+        row = _constrained_row(ordinal, ctx.q, k)
+        if left_circulant_involutory_conditions(ctx, row):
             yield row
-
-
-def _left_circulant_quadratic_ok(ctx: GF2m, row: tuple[int, ...]) -> bool:
-    k = len(row)
-    if k == 1:
-        return True
-    conv = shifted_convolution(ctx, row, k - 1)
-    return all(conv[l] == 0 for l in range(1, (k - 1) // 2 + 1))
 
 
 def run_search(
@@ -273,7 +265,7 @@ def run_search(
         gi, ordinal = divmod(token, per_g)
         g = job.g_set[gi]
         row = job.row_at(g, ordinal)
-        if constrained and not _left_circulant_quadratic_ok(job.ctx, row):
+        if constrained and not left_circulant_involutory_conditions(job.ctx, row):
             if on_progress is not None:
                 on_progress(token)
             continue  # outside the constrained row space, not a candidate

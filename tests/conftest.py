@@ -1,8 +1,10 @@
 """Shared fixtures and independent oracles.
 
-The oracles deliberately avoid the package's code paths: determinants
-by Laplace expansion instead of Gaussian elimination, diagonal-pair
-search by exhaustive enumeration instead of ratio propagation.
+The oracles deliberately avoid the package's code paths: field products
+by carry-less multiplication and reduction instead of log tables,
+determinants by Laplace expansion instead of Gaussian elimination,
+diagonal-pair search by exhaustive enumeration instead of ratio
+propagation.
 """
 
 from __future__ import annotations
@@ -37,6 +39,30 @@ def gf16():
 def gf4():
     """GF(2^2) with modulus x^2 + x + 1."""
     return GF2m(2, 0x7)
+
+
+def schoolbook_mul(ctx: GF2m, a: int, b: int) -> int:
+    """Carry-less product of a and b, then reduction mod the modulus from
+    the top bit down."""
+    prod = 0
+    for i in range(ctx.m):
+        if b >> i & 1:
+            prod ^= a << i
+    for d in range(2 * ctx.m - 2, ctx.m - 1, -1):
+        if prod >> d & 1:
+            prod ^= ctx.modulus << (d - ctx.m)
+    return prod
+
+
+def schoolbook_pow(ctx: GF2m, a: int, e: int) -> int:
+    """a^e by square-and-multiply over schoolbook_mul."""
+    r = 1
+    while e:
+        if e & 1:
+            r = schoolbook_mul(ctx, r, a)
+        a = schoolbook_mul(ctx, a, a)
+        e >>= 1
+    return r
 
 
 def laplace_det(a: Matrix) -> int:

@@ -126,6 +126,37 @@ class TestCheck:
         assert code == 2
 
 
+class TestFieldBlock:
+    @pytest.mark.parametrize(
+        "field, named",
+        [
+            ({"m": 2, "poly": "0x7"}, None),
+            ({"m": 2, "poly": 7}, None),
+            ({"m": 2.7, "poly": "0x7"}, "'m'"),
+            ({"m": True, "poly": 3}, "'m'"),
+            ({"m": "2", "poly": "0x7"}, "'m'"),
+            ({"poly": "0x7"}, "'m'"),
+            ({"m": 8, "poly": 285.9}, "'poly'"),
+            ({"m": 2, "poly": True}, "'poly'"),
+            ({"m": 2, "poly": [7]}, "'poly'"),
+            ({"m": 2, "poly": "0xzz"}, "'poly'"),
+        ],
+    )
+    def test_check_spec_field(self, capsys, tmp_path, field, named):
+        # the identity spec is valid in every field, so only the block can fail
+        spec = {"k": 2, "g": 1, "row": ["0x1", "0x0"], "field": field}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["check", str(path)])
+        if named is None:
+            assert code == 0
+            assert json.loads(out)["involutory"] is True
+        else:
+            assert code == 2
+            assert out == ""
+            assert named in err
+
+
 class TestSquare:
     def test_reference_square(self, capsys):
         code, out, _ = run(

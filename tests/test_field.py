@@ -13,7 +13,10 @@ from gcirc import (
     is_irreducible,
 )
 
+from conftest import schoolbook_mul, schoolbook_pow
+
 CONTEXT_PARAMS = [(8, 0x165), (8, 0x11D), (4, 0x13), (2, 0x7)]
+ORACLE_PARAMS = CONTEXT_PARAMS + [(1, 0x3), (16, 0x1002B)]
 
 
 class TestConstruction:
@@ -73,17 +76,21 @@ class TestAddMul:
             assert gf16.mul(a, 0) == 0
 
     def test_table_and_schoolbook_paths_agree(self):
-        for m, poly in CONTEXT_PARAMS:
-            tabled = GF2m(m, poly, use_tables=True)
-            plain = GF2m(m, poly, use_tables=False)
-            assert tabled.uses_tables and not plain.uses_tables
+        # the log/antilog tables against the independent schoolbook oracle
+        for m, poly in ORACLE_PARAMS:
+            ctx = GF2m(m, poly)
             rng = random.Random(101 + m)
             if m <= 4:
                 pairs = [(a, b) for a in range(1 << m) for b in range(1 << m)]
             else:
                 pairs = [(rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(10000)]
             for a, b in pairs:
-                assert tabled.mul(a, b) == plain.mul(a, b)
+                assert ctx.mul(a, b) == schoolbook_mul(ctx, a, b)
+            for a, b in pairs[:2000]:
+                e = b + rng.randrange(2 * ctx.q)  # exponents past q-1 wrap
+                assert ctx.pow(a, e) == schoolbook_pow(ctx, a, e)
+                if a:
+                    assert ctx.inv(a) == schoolbook_pow(ctx, a, ctx.q - 2)
 
     def test_field_axioms_random_triples(self):
         rng = random.Random(7)
@@ -115,6 +122,8 @@ class TestPowInv:
         assert gf4.pow(0x02, 1) == 0x02
         assert gf4.pow(0x02, 3) == 0x01
         assert gf16.pow(0, 0) == 1
+        for e in (1, 2, gf16.q - 1, gf16.q, 10**6):
+            assert gf16.pow(0, e) == 0
 
     def test_lagrange_exponent(self):
         for m, poly in CONTEXT_PARAMS:
@@ -138,8 +147,9 @@ class TestPowInv:
             gf16.inv(0)
 
     def test_negative_exponent_rejected(self, gf16):
-        with pytest.raises(ValueError):
-            gf16.pow(2, -1)
+        for a in (0, 1, 2):
+            with pytest.raises(ValueError):
+                gf16.pow(a, -1)
 
 
 class TestPrimitivity:
@@ -152,19 +162,20 @@ class TestPrimitivity:
         assert ctx165.is_primitive(0x02)
         assert ctx11d.is_primitive(0x02)
 
-    def test_primitive_count_matches_totient(self, gf16):
-        # phi(15) = 8 generators in GF(16)*
-        def order(ctx, a):
-            x, n = a, 1
-            while x != 1:
-                x = ctx.mul(x, a)
-                n += 1
-            return n
-
-        found = [a for a in range(1, gf16.q) if gf16.is_primitive(a)]
-        assert len(found) == 8
-        for a in range(1, gf16.q):
-            assert gf16.is_primitive(a) == (order(gf16, a) == gf16.q - 1)
+    def test_primitive_count_matches_totient(self, gf16, ctx165):
+        # phi(15) = 8 generators in GF(16)*, phi(255) = 128 in GF(256)*; the
+        # orders come from a schoolbook walk, independent of the log tables
+        for ctx, count in ((gf16, 8), (ctx165, 128)):
+            generators = 0
+            for a in range(1, ctx.q):
+                x, n = a, 1
+                while x != 1:
+                    x = schoolbook_mul(ctx, x, a)
+                    n += 1
+                assert ctx.is_primitive(a) == (n == ctx.q - 1)
+                generators += n == ctx.q - 1
+            assert generators == count
+            assert not ctx.is_primitive(0)
 
     def test_primitive_element(self, gf16, ctx165):
         assert gf16.primitive_element() == 0x02
@@ -214,11 +225,7 @@ class TestParseFormat:
 class TestDegreeSixteen:
     def test_cap_degree_context_works(self):
         ctx = GF2m(16, 0x1002B)
-        assert not ctx.uses_tables  # tables only by default for m <= 8
-        rng = random.Random(9)
-        for _ in range(300):
-            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
-            assert ctx.mul(a, b) == ctx.mul(b, a)
-            if a:
-                assert ctx.mul(a, ctx.inv(a)) == 1
+        for a in range(1, ctx.q):
+            assert ctx.mul(a, ctx.inv(a)) == 1
         assert ctx.pow(2, ctx.q - 1) == 1
+        assert ctx.is_primitive(ctx.primitive_element())
