@@ -13,6 +13,7 @@ smallest column node of each component.
 from __future__ import annotations
 
 import warnings
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -65,6 +66,11 @@ def is_mds(a: Matrix):
     minor in (size, lexicographic rows, lexicographic cols) order.
     Minor counts grow as sum_s C(k,s)^2, so k >= 16 is refused and
     k > 12 warns.
+
+    Minors are computed in that order by Laplace expansion along their
+    first row, det(R, C) = sum over j in C of a[min R][j] * det(R - min R,
+    C - j), from the minors one size smaller, kept per row set in an
+    array('H') indexed like the column sets.
     """
     if not a.is_square:
         raise DimensionError("MDS check needs a square matrix")
@@ -73,11 +79,24 @@ def is_mds(a: Matrix):
         raise SpaceTooLargeError(f"full minor enumeration refused for k >= {MDS_HARD_CAP}")
     if k > MDS_WARN_DIM:
         warnings.warn(f"minor enumeration at k={k} is slow", stacklevel=2)
+    mul, e = a.ctx.mul, a.entries
+    rank, prev = {(): 0}, {(): [1]}
     for size in range(1, k + 1):
+        col_sets = list(combinations(range(k), size))
+        # per column set, its terms: (j, rank of cols - j one size down)
+        expansions = [[(j, rank[cols[:p] + cols[p + 1:]]) for p, j in enumerate(cols)] for cols in col_sets]
+        cur = {}
         for rows in combinations(range(k), size):
-            for cols in combinations(range(k), size):
-                if a.submatrix(rows, cols).determinant() == 0:
+            top, sub, dets = e[rows[0]], prev[rows[1:]], array("H")
+            for cols, terms in zip(col_sets, expansions):
+                det = 0
+                for j, i in terms:
+                    det ^= mul(top[j], sub[i])
+                if det == 0:
                     return False, (rows, cols)
+                dets.append(det)
+            cur[rows] = dets
+        rank, prev = {cols: i for i, cols in enumerate(col_sets)}, cur
     return True, None
 
 

@@ -10,7 +10,7 @@ propagation.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -78,6 +78,18 @@ def laplace_det(a: Matrix) -> int:
             cols = [c for c in range(k) if c != j]
             total ^= ctx.mul(a[0, j], laplace_det(a.submatrix(rest, cols)))
     return total
+
+
+def elimination_mds(a: Matrix):
+    """is_mds by Gaussian elimination of every minor in (size, rows, cols)
+    order: (True, None) or (False, first singular (rows, cols))."""
+    k = a.rows
+    for size in range(1, k + 1):
+        for rows in combinations(range(k), size):
+            for cols in combinations(range(k), size):
+                if a.submatrix(rows, cols).determinant() == 0:
+                    return False, (rows, cols)
+    return True, None
 
 
 def brute_force_sandwich_pairs(a: Matrix, b: Matrix) -> list[tuple[tuple, tuple]]:

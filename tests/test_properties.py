@@ -11,6 +11,7 @@ import pytest
 
 from gcirc import (
     DiagonalPair,
+    GF2m,
     GCirculantSpec,
     Matrix,
     Permutation,
@@ -33,7 +34,7 @@ from gcirc import (
     scaling_freedom_normalize,
     shifted_convolution,
 )
-from conftest import brute_force_sandwich_pairs, laplace_det, random_row
+from conftest import brute_force_sandwich_pairs, elimination_mds, laplace_det, random_row
 
 PAPER_ROW_STRS = ("1", "a", "1+a+a^4+a^5+a^7", "1+a+a^3+a^4+a^5+a^7", "a+a^3")
 
@@ -63,6 +64,26 @@ class TestMds:
             found += 1
             rows, cols = witness
             assert laplace_det(a.submatrix(rows, cols)) == 0
+
+    def test_matches_elimination_sweep(self, gf4, gf16, ctx11d):
+        # dense random matrices fail early; nonzero g-circulant rows reach
+        # deeper witnesses or pass; a Cauchy matrix over GF(2^16) is MDS
+        rng = random.Random(43)
+        cases = [Matrix(gf4, [random_row(rng, gf4, k) for _ in range(k)])
+                 for k in (2, 3, 4) for _ in range(30)]
+        cases += [Matrix(gf16, [random_row(rng, gf16, 4, nonzero=True) for _ in range(4)])
+                  for _ in range(30)]
+        for ctx, k, count in ((gf16, 5, 40), (ctx11d, 6, 12)):
+            for _ in range(count):
+                g = rng.choice([g for g in range(1, k) if gcd(g, k) == 1])
+                row = random_row(rng, ctx, k, nonzero=True)
+                cases.append(build_g_circulant(GCirculantSpec(ctx, k, g, row)))
+        f16 = GF2m(16, 0x1002B)
+        cases.append(Matrix(f16, [[f16.inv(x ^ y) for y in range(5, 9)] for x in range(1, 5)]))
+        outcomes = [is_mds(a) for a in cases]
+        assert outcomes == [elimination_mds(a) for a in cases]
+        sizes = {len(w[0]) for ok, w in outcomes if not ok}
+        assert {1, 2, 3} <= sizes and (True, None) in outcomes
 
     def test_witness_order_smallest_first(self, gf16):
         # a zero entry anywhere must surface as a 1x1 witness before any 2x2
