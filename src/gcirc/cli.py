@@ -13,6 +13,7 @@ import signal
 import sys
 import time
 from dataclasses import replace
+from functools import lru_cache
 
 from . import catalog, jsonio
 from .circulant import CyclicSpec, GCirculantSpec, build_cyclic, build_g_circulant, square_structured
@@ -49,7 +50,10 @@ def _common_options(parser: argparse.ArgumentParser, root: bool) -> None:
     parser.add_argument("-v", "--verbose", action="store_true", default=dflt(False))
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on the first `main` call and reused by every
+    later one in the process; each parse still returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="gcirc",
         description="g-circulant matrices over GF(2^m): construction, property checks, search",

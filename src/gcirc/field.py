@@ -3,8 +3,10 @@
 An element is a plain int: bit i holds the coefficient of x^i of the
 residue polynomial, so addition is xor and every element fits in one
 machine word (m is capped at 16). The modulus is checked for
-irreducibility at construction by exhaustive trial division, which is
-instant at these degrees.
+irreducibility by exhaustive trial division once per modulus per
+process: the verdict is cached, so every later construction with the
+same modulus (a reducible one still raises each time) skips the
+division.
 
 Every field multiplies, inverts and raises to powers through one pair
 of log/antilog tables, kept as `array('H')` above m = 8 (0.4 MB at
@@ -44,8 +46,10 @@ def poly_rem(a: int, b: int) -> int:
     return a
 
 
+@lru_cache(maxsize=None)
 def is_irreducible(mask: int) -> bool:
-    """Trial division by every polynomial of degree 1..deg/2."""
+    """Trial division by every polynomial of degree 1..deg/2, once per mask
+    per process: the verdict is cached."""
     d = poly_degree(mask)
     if d < 1:
         return False
@@ -71,6 +75,17 @@ def _mul_schoolbook(a: int, b: int, modulus: int) -> int:
     return r
 
 
+def _pow_schoolbook(a: int, e: int, modulus: int) -> int:
+    """a^e by square-and-multiply over _mul_schoolbook."""
+    r = 1
+    while e:
+        if e & 1:
+            r = _mul_schoolbook(r, a, modulus)
+        a = _mul_schoolbook(a, a, modulus)
+        e >>= 1
+    return r
+
+
 @lru_cache(maxsize=None)
 def _tables(m: int, modulus: int) -> tuple:
     """Antilog and log tables of GF(2^m) mod `modulus`, one pair per field
@@ -78,27 +93,34 @@ def _tables(m: int, modulus: int) -> tuple:
 
     exp[i] = g^i for the smallest generator g and 0 <= i < 2(q-1), so a
     sum of two logs indexes exp without reduction; log[0] is unused.
-    Candidates are walked in order, and a candidate's walk becomes the
-    table unless it returns to 1 before q-1 steps.
+    A candidate g generates iff g^((q-1)/p) != 1 for every prime p
+    dividing q-1, so only the generator's powers are walked.
     """
     q = 1 << m
     n = q - 1
+    primes, rest, p = [], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    gen = next(
+        g for g in range(1, q) if all(_pow_schoolbook(g, n // p, modulus) != 1 for p in primes)
+    )
     exp = array("H", bytes(4 * n))
     log = array("H", bytes(2 * q))
-    for gen in range(1, q):
-        x = 1
-        for i in range(n):
-            if x == 1 and i:
-                break  # order i < q-1: not a generator
-            exp[i] = x
-            log[x] = i
-            x = _mul_schoolbook(x, gen, modulus)
-        else:
-            exp[n:] = exp[:n]
-            if m <= 8:  # entries are cached small ints: a list costs no more and indexes faster
-                return exp.tolist(), log.tolist()
-            return exp, log
-    raise AssertionError("unreachable: GF(2^m)* is cyclic")
+    x = 1
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x = _mul_schoolbook(x, gen, modulus)
+    exp[n:] = exp[:n]
+    if m <= 8:  # entries are cached small ints: a list costs no more and indexes faster
+        return exp.tolist(), log.tolist()
+    return exp, log
 
 
 class GF2m:

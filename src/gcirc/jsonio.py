@@ -13,6 +13,18 @@ from .properties import DiagonalPair, PropertyReport
 from .search import RowSpace, RowSpaceKind, SearchJob, SearchResult, Target
 
 
+_INT, _INT_OR_NULL = (int,), (int, type(None))
+
+
+def _typed(value, key: str, types: tuple, what: str, error=ConfigError):
+    """`value` if its exact type is one of `types`, else `error` naming the
+    key: JSON values are checked, never coerced, so true is no integer and
+    2.7 is not 2."""
+    if type(value) not in types:
+        raise error(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
 def matrix_to_json(a: Matrix) -> dict:
     return {
         "k": a.rows,
@@ -46,7 +58,7 @@ def spec_to_json(spec: GCirculantSpec | CyclicSpec) -> dict:
 def spec_from_json(obj: dict, ctx: GF2m | None = None) -> GCirculantSpec | CyclicSpec:
     ctx = ctx or GF2m.from_json(obj.get("field", {}))
     try:
-        k = int(obj["k"])
+        k = _typed(obj["k"], "k", _INT, "an integer", ParseError)
         row = tuple(ctx.parse(c) for c in obj["row"])
     except KeyError as exc:
         raise ParseError(f"spec JSON missing {exc}") from None
@@ -54,7 +66,7 @@ def spec_from_json(obj: dict, ctx: GF2m | None = None) -> GCirculantSpec | Cycli
         return CyclicSpec(ctx, k, Permutation(obj["rho"]), row)
     if "g" not in obj:
         raise ParseError("spec JSON needs either 'g' or 'rho'")
-    return GCirculantSpec(ctx, k, int(obj["g"]), row)
+    return GCirculantSpec(ctx, k, _typed(obj["g"], "g", _INT, "an integer", ParseError), row)
 
 
 def pair_to_json(ctx: GF2m, pair: DiagonalPair) -> dict:
@@ -114,11 +126,13 @@ def job_to_json(job: SearchJob) -> dict:
 
 
 def job_from_json(obj: dict) -> SearchJob:
+    """Read a job; every key is type-checked, never coerced, and a bad one
+    raises ConfigError naming it."""
     if not isinstance(obj, dict):
         raise ConfigError("job file must contain a JSON object")
     try:
         ctx = GF2m.from_json(obj["field"])
-        k = int(obj["k"])
+        k = obj["k"]
         target = Target(obj["target"])
         rs_obj = obj["row_space"]
         kind = RowSpaceKind(rs_obj["kind"])
@@ -126,19 +140,25 @@ def job_from_json(obj: dict) -> SearchJob:
         raise ConfigError(f"malformed job: {exc}") from None
     row_space = RowSpace(
         kind,
-        count=rs_obj.get("count"),
-        seed=rs_obj.get("seed"),
+        count=_typed(rs_obj.get("count"), "count", _INT_OR_NULL, "an integer"),
+        seed=_typed(rs_obj.get("seed"), "seed", _INT_OR_NULL, "an integer"),
     )
-    g_set = obj.get("g_set")
+    g_set = _typed(obj.get("g_set"), "g_set", (list, type(None)), "a list of integers")
+    if g_set is not None:
+        g_set = tuple(_typed(g, "g_set", _INT, "a list of integers") for g in g_set)
     return SearchJob(
         ctx=ctx,
-        k=k,
+        k=_typed(k, "k", _INT, "an integer"),
         target=target,
         row_space=row_space,
-        g_set=tuple(g_set) if g_set is not None else None,
-        resume_token=obj.get("resume_token"),
-        stop_token=obj.get("stop_token"),
-        pruning=bool(obj.get("pruning", True)),
-        prune_power_of_two=bool(obj.get("prune_power_of_two", False)),
-        debug_recheck=float(obj.get("debug_recheck", 0.0)),
+        g_set=g_set,
+        resume_token=_typed(obj.get("resume_token"), "resume_token", _INT_OR_NULL, "an integer"),
+        stop_token=_typed(obj.get("stop_token"), "stop_token", _INT_OR_NULL, "an integer"),
+        pruning=_typed(obj.get("pruning", True), "pruning", (bool,), "true or false"),
+        prune_power_of_two=_typed(
+            obj.get("prune_power_of_two", False), "prune_power_of_two", (bool,), "true or false"
+        ),
+        debug_recheck=_typed(
+            obj.get("debug_recheck", 0.0), "debug_recheck", (int, float), "a number"
+        ),
     )

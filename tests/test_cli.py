@@ -2,9 +2,14 @@
 stderr, exit codes 0/1/2/3."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gcirc
+import gcirc.cli as cli_mod
 from gcirc.cli import main
 
 FIELD_165 = ["--field-m", "8", "--field-poly", "0x165"]
@@ -15,6 +20,25 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def gcirc_env() -> dict:
+    """Environment for a `python -m gcirc` child that imports this gcirc,
+    installed or not, and wraps usage text at a fixed width."""
+    src = os.path.dirname(os.path.dirname(gcirc.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), COLUMNS="80")
+
+
+def run_fresh(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gcirc", *argv],
+        capture_output=True,
+        text=True,
+        env=gcirc_env(),
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestBuild:
@@ -124,6 +148,37 @@ class TestCheck:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["check", "/nonexistent/x.json"])
         assert code == 2
+
+
+class TestSpecTypes:
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({}, None),
+            ({"k": 2.7}, "'k'"),
+            ({"k": True}, "'k'"),
+            ({"k": "2"}, "'k'"),
+            ({"k": None}, "'k'"),
+            ({"g": 1.9}, "'g'"),
+            ({"g": True}, "'g'"),
+            ({"g": "1"}, "'g'"),
+            ({"g": None}, "'g'"),
+        ],
+    )
+    def test_check_spec_k_g(self, capsys, tmp_path, change, named):
+        # k = 2, g = 1 would make the identity spec valid, so only the type can fail
+        spec = {"k": 2, "g": 1, "row": ["0x1", "0x0"], "field": {"m": 2, "poly": "0x7"}}
+        spec.update(change)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["check", str(path)])
+        if named is None:
+            assert code == 0
+            assert json.loads(out)["involutory"] is True
+        else:
+            assert code == 2
+            assert out == ""
+            assert named in err and "Traceback" not in err
 
 
 class TestFieldBlock:
@@ -253,6 +308,53 @@ class TestSearch:
         code, _, err = run(capsys, ["search", path2])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({}, None),
+            ({"resume_token": None, "stop_token": None, "g_set": None}, None),
+            ({"pruning": False, "prune_power_of_two": True, "debug_recheck": 1}, None),
+            ({"row_space": {"kind": "RANDOM", "count": 30, "seed": 5}}, None),
+            ({"k": 2.7}, "'k'"),
+            ({"k": True}, "'k'"),
+            ({"k": None}, "'k'"),
+            ({"resume_token": "3"}, "'resume_token'"),
+            ({"resume_token": 3.0}, "'resume_token'"),
+            ({"stop_token": True}, "'stop_token'"),
+            ({"stop_token": "10"}, "'stop_token'"),
+            ({"g_set": [1.5]}, "'g_set'"),
+            ({"g_set": [True]}, "'g_set'"),
+            ({"g_set": "1"}, "'g_set'"),
+            ({"row_space": {"kind": "RANDOM", "count": 30.0, "seed": 5}}, "'count'"),
+            ({"row_space": {"kind": "RANDOM", "count": "30", "seed": 5}}, "'count'"),
+            ({"row_space": {"kind": "RANDOM", "count": 30, "seed": True}}, "'seed'"),
+            ({"row_space": {"kind": "RANDOM", "count": 30, "seed": 5.5}}, "'seed'"),
+            ({"pruning": "false"}, "'pruning'"),
+            ({"pruning": 0}, "'pruning'"),
+            ({"pruning": None}, "'pruning'"),
+            ({"prune_power_of_two": "true"}, "'prune_power_of_two'"),
+            ({"prune_power_of_two": 1}, "'prune_power_of_two'"),
+            ({"debug_recheck": "0.5"}, "'debug_recheck'"),
+            ({"debug_recheck": True}, "'debug_recheck'"),
+        ],
+    )
+    def test_job_field_types(self, capsys, tmp_path, change, named):
+        payload = {
+            "field": {"m": 2, "poly": "0x7"},
+            "k": 2,
+            "target": "SEMI_INVOLUTORY_MDS",
+            "row_space": {"kind": "EXHAUSTIVE"},
+        }
+        payload.update(change)
+        code, out, err = run(capsys, ["search", self.job_path(tmp_path, payload)])
+        if named is None:
+            assert code == 0
+            assert "search done" in err
+        else:
+            assert code == 2
+            assert out == ""
+            assert named in err and "Traceback" not in err
+
     def test_space_guard_exit_3(self, capsys, tmp_path):
         path = self.job_path(
             tmp_path,
@@ -313,6 +415,7 @@ class TestSearch:
             [_sys.executable, "-m", "gcirc", "search", path],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=gcirc_env(),
         )
         proc.stdout.readline()
         proc.stdout.close()  # downstream consumer goes away
@@ -323,8 +426,6 @@ class TestSearch:
         assert proc.returncode in (0, -13, 141)  # SIGPIPE death, no crash
 
     def test_interrupt_prints_resume_token(self, capsys, tmp_path, monkeypatch):
-        import gcirc.cli as cli_mod
-
         def interrupted(job, on_progress=None):
             for token in range(job.window()[0], job.window()[0] + 40):
                 if on_progress is not None:
@@ -392,3 +493,73 @@ class TestFormatting:
         )
         assert code == 0
         assert out.strip() == "0x1"
+
+
+class TestRepeatedCalls:
+    """In-process `main` calls share one parser; each must still print what a
+    fresh `gcirc` process prints for the same arguments."""
+
+    CHECK = FIELD_165 + ["check", "--k", "5", "--g", "4", "--row"] + PAPER_ROW
+
+    @staticmethod
+    def footer_free(err: str) -> str:
+        # the search footer carries the elapsed time; everything before it must match
+        return err.rpartition("search done:")[0]
+
+    def test_text_then_json(self, capsys):
+        text = run(capsys, self.CHECK + ["--format", "text"])
+        plain = run(capsys, self.CHECK)
+        assert text[0] == plain[0] == 0
+        assert text[1].startswith("mds: True") and json.loads(plain[1])["mds"] is True
+        assert text == run_fresh(self.CHECK + ["--format", "text"])
+        assert plain == run_fresh(self.CHECK)
+
+    def test_verbose_search_then_plain(self, capsys, tmp_path):
+        # a window across token 99999 gets exactly one -v progress line
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "field": {"m": 4, "poly": "0x13"},
+            "k": 4,
+            "target": "MDS_ONLY",
+            "row_space": {"kind": "EXHAUSTIVE"},
+            "resume_token": 99990,
+            "stop_token": 100010,
+        }))
+        verbose = run(capsys, ["-v", "search", str(path)])
+        plain = run(capsys, ["search", str(path)])
+        assert "processed through token 99999" in verbose[2]
+        assert "processed" not in plain[2]
+        for argv, (code, out, err) in ((["-v", "search", str(path)], verbose),
+                                       (["search", str(path)], plain)):
+            f_code, f_out, f_err = run_fresh(argv)
+            assert (code, out) == (f_code, f_out)
+            assert self.footer_free(err) == self.footer_free(f_err)
+            assert "search done: 20 candidates" in err
+
+    def test_usage_error_then_valid(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["sqrt1"])
+        bad = exc.value.code, *capsys.readouterr()
+        good = run(capsys, ["sqrt1", "12"])
+        assert bad[0] == 2 and "required" in bad[2]
+        assert bad == run_fresh(["sqrt1"])
+        assert good == run_fresh(["sqrt1", "12"])
+        assert json.loads(good[1])["solutions"] == [1, 5, 7, 11]
+
+    def test_parser_built_once(self, capsys):
+        cli_mod._build_parser.cache_clear()
+        calls = (["sqrt1", "8"], ["sqrt1", "9", "--format", "text"], ["repro", "ex-semiinv-2x2"])
+        for argv in calls:
+            assert run(capsys, argv)[0] == 0
+        info = cli_mod._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_parser_not_built_at_import(self):
+        probe = "import gcirc.cli as c; print(c._build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=gcirc_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"

@@ -12,6 +12,7 @@ from gcirc import (
     ReducibleModulusError,
     is_irreducible,
 )
+from gcirc.field import _tables
 
 from conftest import schoolbook_mul, schoolbook_pow
 
@@ -45,6 +46,15 @@ class TestConstruction:
             GF2m(0, 0x1)
         with pytest.raises(BadDegreeError):
             GF2m(17, (1 << 17) | 0x9)
+
+    def test_reducible_modulus_rejected_every_time(self):
+        # the irreducibility verdict is cached per modulus; the error is not
+        is_irreducible.cache_clear()
+        with pytest.raises(ReducibleModulusError):
+            GF2m(8, 0x11F)
+        assert GF2m(8, 0x11B).m == 8
+        with pytest.raises(ReducibleModulusError):
+            GF2m(8, 0x11F)
 
     def test_x8_x4_x3_x_1_is_reducible(self):
         # 0x11B is AES's modulus and is irreducible; flipping one bit is not
@@ -176,6 +186,26 @@ class TestPrimitivity:
                 generators += n == ctx.q - 1
             assert generators == count
             assert not ctx.is_primitive(0)
+
+    @pytest.mark.parametrize("m, poly", ORACLE_PARAMS)
+    def test_tables_match_schoolbook_walk(self, m, poly):
+        # the generator is the smallest element of order q-1, found by walking
+        # every candidate's powers with the schoolbook oracle
+        ctx = GF2m(m, poly)
+        n = ctx.q - 1
+        for gen in range(1, ctx.q):
+            powers, x = [], 1
+            while True:
+                powers.append(x)
+                x = schoolbook_mul(ctx, x, gen)
+                if x == 1:
+                    break
+            if len(powers) == n:
+                break
+        exp, log = _tables(m, poly)
+        assert ctx.primitive_element() == gen
+        assert list(exp) == powers + powers
+        assert [log[x] for x in powers] == list(range(n))
 
     def test_primitive_element(self, gf16, ctx165):
         assert gf16.primitive_element() == 0x02
