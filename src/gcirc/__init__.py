@@ -12,16 +12,11 @@ from .circulant import (
     cyclic_to_circulant,
     detect_g_circulant,
     g_shift_cycle,
-    inverse_shift_law,
     left_circulant_submatrices,
-    permutation_representation,
-    product_shift_law,
     rotation_perm,
     satisfies_shift,
-    shift_perm,
     shifted_convolution,
     square_structured,
-    transpose_shift_law,
 )
 from .errors import (
     BadDegreeError,
@@ -59,7 +54,6 @@ from .properties import (
     involutory_g_filter,
     is_involutory,
     is_mds,
-    is_orthogonal,
     left_circulant_involutory_conditions,
     ratio_components,
     rescale_pair,

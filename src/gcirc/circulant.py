@@ -7,11 +7,14 @@ g = 1 gives the ordinary circulant, g = k-1 the (symmetric)
 left-circulant. A cyclic matrix generalizes the row-to-row step to an
 arbitrary k-cycle rho via C[i,j] = c_{rho^{-i}(j)}.
 
-Structure laws implemented here, each verified against direct matrix
-arithmetic in the tests: the permutation representation
-sum_i c_i * Q_g * P^i, the shift laws for products, transposes and
-inverses, the squared form (g^2, convolution row), and the
-permutation equivalence between cyclic and circulant matrices.
+Structure laws computed here: the shift relation
+A[i,j] = A[i+1, j+g] and detection of g from it, the square as a
+(g^2, convolution row) pair, the permutation equivalence between
+cyclic and circulant matrices, and the left-circulant minors of a
+(2^{d-1}-1)-circulant of order 2^d. The laws that are only asserted
+(A = Q_g * circ(c), inverse and transpose g^{-1}-circulant, product
+of a g- and an h-circulant gh-circulant) are checked against dense
+arithmetic in the tests.
 """
 
 from __future__ import annotations
@@ -114,32 +117,6 @@ def rotation_perm(k: int) -> Permutation:
     return Permutation((i + 1) % k for i in range(k))
 
 
-def shift_perm(k: int, g: int) -> Permutation:
-    """Q_g = g-circulant(1,0,...,0) as a permutation: i -> i*g mod k."""
-    if math.gcd(g % k, k) != 1:
-        raise NotCoprimeError(f"Q_g is not a permutation when gcd({g}, {k}) != 1")
-    return Permutation(i * g % k for i in range(k))
-
-
-def permutation_representation(spec: GCirculantSpec):
-    """Decompose as sum_i c_i * Q_g * P^i.
-
-    Returns (Q_g, P, reconstruction); the reconstruction equals
-    build_g_circulant(spec) entrywise.
-    """
-    spec.require_coprime()
-    ctx, k = spec.ctx, spec.k
-    qg = shift_perm(k, spec.g)
-    p = rotation_perm(k)
-    acc = Matrix(ctx, [[0] * k for _ in range(k)])
-    step = qg
-    for c in spec.row:
-        if c:
-            acc = acc + step.to_matrix(ctx).scale(c)
-        step = step.compose(p)
-    return qg, p, acc
-
-
 def satisfies_shift(a: Matrix, g: int) -> bool:
     """True iff A[i,j] = A[(i+1) mod k, (j+g) mod k] for all i, j."""
     if not a.is_square:
@@ -189,40 +166,6 @@ def square_structured(spec: GCirculantSpec):
     spec.require_coprime()
     g2 = spec.g * spec.g % spec.k
     return g2, tuple(shifted_convolution(spec.ctx, spec.row, spec.g))
-
-
-def product_shift_law(a: GCirculantSpec, b: GCirculantSpec) -> int:
-    """g*h mod k for the product of a g-circulant and an h-circulant.
-
-    Asserts the built product actually satisfies the (g*h) shift relation.
-    """
-    if a.k != b.k or a.ctx != b.ctx:
-        raise DimensionError("specs must share order and field")
-    gh = a.g * b.g % a.k
-    prod = build_g_circulant(a) @ build_g_circulant(b)
-    if not satisfies_shift(prod, gh):
-        raise AssertionError(f"product of {a.g}- and {b.g}-circulants is not {gh}-circulant")
-    return gh
-
-
-def inverse_shift_law(spec: GCirculantSpec):
-    """(g^{-1} mod k, first row of A^{-1}); asserts A^{-1} is g^{-1}-circulant."""
-    spec.require_coprime()
-    g_inv = pow(spec.g, -1, spec.k) if spec.k > 1 else 0
-    inv = build_g_circulant(spec).inverse()
-    if not satisfies_shift(inv, g_inv):
-        raise AssertionError(f"inverse of a {spec.g}-circulant is not {g_inv}-circulant")
-    return g_inv, inv.entries[0]
-
-
-def transpose_shift_law(spec: GCirculantSpec):
-    """(g^{-1} mod k, first row of A^T); asserts A^T is g^{-1}-circulant."""
-    spec.require_coprime()
-    g_inv = pow(spec.g, -1, spec.k) if spec.k > 1 else 0
-    t = build_g_circulant(spec).transpose()
-    if not satisfies_shift(t, g_inv):
-        raise AssertionError(f"transpose of a {spec.g}-circulant is not {g_inv}-circulant")
-    return g_inv, t.entries[0]
 
 
 def cyclic_to_circulant(spec: CyclicSpec):

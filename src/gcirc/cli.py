@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import catalog, jsonio
 from .circulant import CyclicSpec, GCirculantSpec, build_cyclic, build_g_circulant, square_structured
-from .errors import GcircError, SpaceTooLargeError
+from .errors import GcircError, ParseError, SpaceTooLargeError
 from .field import GF2m
 from .matrix import Matrix
 from .modular import sqrt_one_solutions
@@ -142,6 +142,8 @@ def _load_check_input(args) -> Matrix:
     if args.input is not None:
         with open(args.input) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ParseError("check input must contain a JSON object")
         if "entries" in obj:
             return jsonio.matrix_from_json(obj)
         spec = jsonio.spec_from_json(obj)
@@ -236,13 +238,17 @@ def _cmd_search(args) -> int:
         for result in run_search(job, on_progress=on_progress):
             progress["hits"] += 1
             if args.format == "json":
-                print(json.dumps(jsonio.result_to_json(result)), flush=False)
+                line = json.dumps(jsonio.result_to_json(result))
             else:
                 ctx = result.spec.ctx
-                print(
+                line = (
                     f"g={result.spec.g} ordinal={result.ordinal} "
                     f"row={' '.join(ctx.format_hex(c) for c in result.spec.row)}"
                 )
+            # an interrupt before this point resumes at the hit, one while
+            # its line is written resumes after it
+            progress["token"] = result.token
+            print(line)
     except KeyboardInterrupt:
         print(f"interrupted; resume with --resume {progress['token'] + 1}", file=sys.stderr)
         sys.stdout.flush()

@@ -14,6 +14,11 @@ from .search import RowSpace, RowSpaceKind, SearchJob, SearchResult, Target
 
 
 _INT, _INT_OR_NULL = (int,), (int, type(None))
+_JOB_KEYS = frozenset((
+    "field", "k", "target", "row_space", "g_set", "resume_token", "stop_token",
+    "pruning", "prune_power_of_two", "debug_recheck",
+))
+_ROW_SPACE_KEYS = frozenset(("kind", "count", "seed"))
 
 
 def _typed(value, key: str, types: tuple, what: str, error=ConfigError):
@@ -25,6 +30,24 @@ def _typed(value, key: str, types: tuple, what: str, error=ConfigError):
     return value
 
 
+def _list(value, key: str, item_types: tuple, what: str, error=ConfigError) -> tuple:
+    """The items of `value` if it is a JSON list and each item's exact type
+    is one of `item_types`, else `error` naming the key."""
+    items = _typed(value, key, (list,), what, error)
+    return tuple(_typed(x, key, item_types, what, error) for x in items)
+
+
+def _elements(ctx: GF2m, value, key: str) -> tuple[int, ...]:
+    strings = _list(value, key, (str,), "a list of element strings", ParseError)
+    return tuple(ctx.parse(e) for e in strings)
+
+
+def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
+    unknown = sorted(obj.keys() - keys)
+    if unknown:
+        raise ConfigError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+
+
 def matrix_to_json(a: Matrix) -> dict:
     return {
         "k": a.rows,
@@ -34,11 +57,18 @@ def matrix_to_json(a: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict, ctx: GF2m | None = None) -> Matrix:
+    """Read a matrix; `entries` must be a list of element-string lists and
+    `k`, when present, an integer equal to the row count and every row's
+    length."""
     ctx = ctx or GF2m.from_json(obj.get("field", {}))
-    try:
-        entries = [[ctx.parse(e) for e in row] for row in obj["entries"]]
-    except KeyError as exc:
-        raise ParseError(f"matrix JSON missing {exc}") from None
+    if "entries" not in obj:
+        raise ParseError("matrix JSON missing 'entries'")
+    rows = _list(obj["entries"], "entries", (list,), "a list of rows", ParseError)
+    entries = [_elements(ctx, row, "entries") for row in rows]
+    if "k" in obj:
+        k = _typed(obj["k"], "k", _INT, "an integer", ParseError)
+        if len(entries) != k or any(len(row) != k for row in entries):
+            raise ParseError(f"'k' is {k} but 'entries' is not {k}x{k}")
     return Matrix(ctx, entries)
 
 
@@ -59,11 +89,12 @@ def spec_from_json(obj: dict, ctx: GF2m | None = None) -> GCirculantSpec | Cycli
     ctx = ctx or GF2m.from_json(obj.get("field", {}))
     try:
         k = _typed(obj["k"], "k", _INT, "an integer", ParseError)
-        row = tuple(ctx.parse(c) for c in obj["row"])
+        row = _elements(ctx, obj["row"], "row")
     except KeyError as exc:
         raise ParseError(f"spec JSON missing {exc}") from None
     if "rho" in obj:
-        return CyclicSpec(ctx, k, Permutation(obj["rho"]), row)
+        rho = _list(obj["rho"], "rho", _INT, "a list of integers", ParseError)
+        return CyclicSpec(ctx, k, Permutation(rho), row)
     if "g" not in obj:
         raise ParseError("spec JSON needs either 'g' or 'rho'")
     return GCirculantSpec(ctx, k, _typed(obj["g"], "g", _INT, "an integer", ParseError), row)
@@ -126,10 +157,11 @@ def job_to_json(job: SearchJob) -> dict:
 
 
 def job_from_json(obj: dict) -> SearchJob:
-    """Read a job; every key is type-checked, never coerced, and a bad one
-    raises ConfigError naming it."""
+    """Read a job; every key is type-checked, never coerced, and a bad or
+    unknown one raises ConfigError naming it."""
     if not isinstance(obj, dict):
         raise ConfigError("job file must contain a JSON object")
+    _known_keys(obj, _JOB_KEYS, "job")
     try:
         ctx = GF2m.from_json(obj["field"])
         k = obj["k"]
@@ -138,14 +170,15 @@ def job_from_json(obj: dict) -> SearchJob:
         kind = RowSpaceKind(rs_obj["kind"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed job: {exc}") from None
+    _known_keys(rs_obj, _ROW_SPACE_KEYS, "row_space")
     row_space = RowSpace(
         kind,
         count=_typed(rs_obj.get("count"), "count", _INT_OR_NULL, "an integer"),
         seed=_typed(rs_obj.get("seed"), "seed", _INT_OR_NULL, "an integer"),
     )
-    g_set = _typed(obj.get("g_set"), "g_set", (list, type(None)), "a list of integers")
+    g_set = obj.get("g_set")
     if g_set is not None:
-        g_set = tuple(_typed(g, "g_set", _INT, "a list of integers") for g in g_set)
+        g_set = _list(g_set, "g_set", _INT, "a list of integers")
     return SearchJob(
         ctx=ctx,
         k=_typed(k, "k", _INT, "an integer"),

@@ -1,6 +1,6 @@
-"""MDS, involutory, and orthogonal checks, plus detection of
-semi-involutory and semi-orthogonal structure with diagonal-pair
-recovery.
+"""MDS and involutory checks, detection of semi-involutory and
+semi-orthogonal structure with diagonal-pair recovery, and a full
+report that reads involutory and orthogonal off the same inverse.
 
 A matrix A is semi-involutory when D1 * A * D2 = A^{-1} for some
 nonsingular diagonal matrices, and semi-orthogonal when
@@ -114,13 +114,6 @@ def is_involutory(a: Matrix) -> bool:
             if acc != (1 if i == j else 0):
                 return False
     return True
-
-
-def is_orthogonal(a: Matrix) -> bool:
-    """A @ A^T = I."""
-    if not a.is_square:
-        return False
-    return a @ a.transpose() == Matrix.identity(a.ctx, a.rows)
 
 
 def ratio_components(a: Matrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -308,17 +301,23 @@ def involutory_g_filter(g: int, k: int) -> bool:
 
 
 def full_report(a: Matrix) -> PropertyReport:
-    """Run all five property checks on one square matrix."""
+    """Run all five property checks on one square matrix.
+
+    Involutory (A^{-1} = A) and orthogonal ((A^{-1})^T = A) are read off
+    the inverse that the semi-property detection needs anyway; a
+    singular matrix is neither.
+    """
     mds, witness = is_mds(a)
     try:
         inv = a.inverse()
     except SingularMatrixError:
         return PropertyReport(mds, witness, False, False, None, None)
+    inv_t = inv.transpose()
     return PropertyReport(
         mds=mds,
         mds_witness=witness,
-        involutory=is_involutory(a),
-        orthogonal=is_orthogonal(a),
+        involutory=inv == a,
+        orthogonal=inv_t == a,
         semi_involutory=_detect(a, inv),
-        semi_orthogonal=_detect(a, inv.transpose()),
+        semi_orthogonal=_detect(a, inv_t),
     )

@@ -147,6 +147,7 @@ class SearchResult:
     spec: GCirculantSpec
     report: PropertyReport
     ordinal: int
+    token: int
 
 
 def _base_q_digits(value: int, q: int, length: int) -> tuple[int, ...]:
@@ -253,6 +254,9 @@ def run_search(
     re-verified through the full unpruned property check before being
     emitted; debug_recheck additionally samples that fraction of the
     rejected candidates and asserts the full check agrees.
+    on_progress(token) runs once the token is walked: for a hit, only
+    when the consumer asks for the next result, so a consumer that
+    must know its place while it handles a hit reads the hit's token.
     """
     start, stop = job.window()
     if stop - start > CANDIDATE_CAP:
@@ -275,7 +279,7 @@ def run_search(
                 report, ok = _full_check(job, spec)
                 if not ok:
                     raise AssertionError(f"filter accepted a non-{job.target.value} candidate: {spec}")
-                yield SearchResult(spec, report, ordinal)
+                yield SearchResult(spec, report, ordinal, token)
             elif job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck:
                 _, ok = _full_check(job, spec)
                 if ok:
@@ -283,7 +287,7 @@ def run_search(
         else:
             report, ok = _full_check(job, spec)
             if ok:
-                yield SearchResult(spec, report, ordinal)
+                yield SearchResult(spec, report, ordinal, token)
         if on_progress is not None:
             on_progress(token)
 

@@ -1,5 +1,6 @@
-"""Circulant family: constructors, permutation representations, shift
-laws, structured squares, and the cyclic-to-circulant equivalence."""
+"""Circulant family: constructors, the factoring A = Q_g * circ(c), the
+shift laws for products, inverses and transposes, structured squares,
+and the cyclic-to-circulant equivalence."""
 
 import random
 from math import gcd
@@ -21,16 +22,11 @@ from gcirc import (
     cyclic_to_circulant,
     detect_g_circulant,
     g_shift_cycle,
-    inverse_shift_law,
     left_circulant_submatrices,
-    permutation_representation,
-    product_shift_law,
     rotation_perm,
     satisfies_shift,
-    shift_perm,
     shifted_convolution,
     square_structured,
-    transpose_shift_law,
 )
 from conftest import random_row, random_spec
 
@@ -118,33 +114,41 @@ class TestCyclic:
             g_shift_cycle(4, 2)
 
 
+def unit_shift(ctx, k, g):
+    """Q_g: the g-circulant with first row (1, 0, ..., 0)."""
+    return build_g_circulant(GCirculantSpec(ctx, k, g, (1,) + (0,) * (k - 1)))
+
+
 class TestPermutationRepresentation:
+    """A = Q_g * circ(c), with P = circ(0, 1, 0, ..., 0) and P Q_g = Q_g P^g."""
+
     def test_circulant_case_uses_identity_q(self, gf16):
         rng = random.Random(23)
         row = random_row(rng, gf16, 6)
-        qg, p, recon = permutation_representation(GCirculantSpec(gf16, 6, 1, row))
-        assert qg == Permutation.identity(6)
-        assert p == rotation_perm(6)
-        assert recon == build_circulant(gf16, row)
+        assert unit_shift(gf16, 6, 1) == Matrix.identity(gf16, 6)
+        assert build_circulant(gf16, (0, 1, 0, 0, 0, 0)) == rotation_perm(6).to_matrix(gf16)
+        assert build_g_circulant(GCirculantSpec(gf16, 6, 1, row)) == build_circulant(gf16, row)
 
     def test_reconstruction_equals_direct(self, paper_spec, gf16):
-        _, _, recon = permutation_representation(paper_spec)
-        assert recon == build_g_circulant(paper_spec)
         rng = random.Random(24)
-        for _ in range(30):
-            spec = random_spec(rng, gf16, rng.randrange(1, 8))
-            _, _, recon = permutation_representation(spec)
-            assert recon == build_g_circulant(spec)
+        specs = [paper_spec] + [random_spec(rng, gf16, rng.randrange(1, 8)) for _ in range(30)]
+        for spec in specs:
+            qg = unit_shift(spec.ctx, spec.k, spec.g)
+            assert build_g_circulant(spec) == qg @ build_circulant(spec.ctx, spec.row)
 
     def test_unit_row_reconstructs_qg(self, gf16):
-        row = (1, 0, 0, 0, 0)
-        spec = GCirculantSpec(gf16, 5, 2, row)
-        qg, _, recon = permutation_representation(spec)
-        assert recon == qg.to_matrix(gf16) == shift_perm(5, 2).to_matrix(gf16)
+        # Q_g is the permutation i -> i*g mod k
+        for k, g in ((5, 2), (7, 3), (8, 5)):
+            q = Permutation([i * g % k for i in range(k)]).to_matrix(gf16)
+            assert unit_shift(gf16, k, g) == q
 
     def test_requires_coprime(self, gf16):
-        with pytest.raises(NotCoprimeError):
-            permutation_representation(GCirculantSpec(gf16, 4, 2, (1, 2, 3, 4)))
+        # with gcd(g, k) > 1 the unit row's g-circulant repeats rows: no permutation
+        for k, g in ((4, 2), (6, 3), (6, 4)):
+            qg = unit_shift(gf16, k, g)
+            assert qg.determinant() == 0
+            with pytest.raises(SingularMatrixError):
+                qg.inverse()
 
     def test_pq_g_commutation(self, gf16):
         # P Q_g = Q_g P^g for every coprime shift
@@ -153,7 +157,7 @@ class TestPermutationRepresentation:
             for g in range(1, k):
                 if gcd(g, k) != 1:
                     continue
-                qg = shift_perm(k, g).to_matrix(gf16)
+                qg = unit_shift(gf16, k, g)
                 pg = (rotation_perm(k) ** g).to_matrix(gf16)
                 assert p @ qg == qg @ pg
 
@@ -219,7 +223,7 @@ class TestStructuredSquare:
         assert g2 == 4
         assert row2 == (1, 0, 0, 0, 0)
         a = build_g_circulant(spec)
-        assert a @ a == shift_perm(5, 4).to_matrix(gf16)
+        assert a @ a == unit_shift(gf16, 5, 4)
 
     def test_oracle_equality_random(self, gf16, ctx165):
         rng = random.Random(29)
@@ -236,22 +240,29 @@ class TestStructuredSquare:
 
 
 class TestShiftLaws:
+    """Products of g- and h-circulants are gh-circulant; the inverse and the
+    transpose of a g-circulant are g^{-1}-circulant."""
+
+    @staticmethod
+    def assert_g_circulant(m, k, g):
+        # m satisfies the g shift and is rebuilt exactly from its first row
+        assert satisfies_shift(m, g)
+        assert build_g_circulant(GCirculantSpec(m.ctx, k, g, m.entries[0])) == m
+
     def test_product_examples(self, gf16):
         rng = random.Random(30)
         r1, r2 = random_row(rng, gf16, 5), random_row(rng, gf16, 5)
-        assert product_shift_law(
-            GCirculantSpec(gf16, 5, 1, r1), GCirculantSpec(gf16, 5, 1, r2)
-        ) == 1
-        assert product_shift_law(
-            GCirculantSpec(gf16, 5, 3, r1), GCirculantSpec(gf16, 5, 2, r2)
-        ) == 1
+        for g, h in ((1, 1), (3, 2), (2, 4), (3, 3)):
+            prod = build_g_circulant(GCirculantSpec(gf16, 5, g, r1)) @ build_g_circulant(
+                GCirculantSpec(gf16, 5, h, r2)
+            )
+            self.assert_g_circulant(prod, 5, g * h % 5)
 
     def test_self_inverse_shift_squares_to_circulant(self, gf16):
         rng = random.Random(31)
         row = random_row(rng, gf16, 8)
-        spec = GCirculantSpec(gf16, 8, 3, row)  # 3^2 = 9 = 1 (mod 8)
-        assert product_shift_law(spec, spec) == 1
-        assert satisfies_shift(build_g_circulant(spec) @ build_g_circulant(spec), 1)
+        a = build_g_circulant(GCirculantSpec(gf16, 8, 3, row))  # 3^2 = 9 = 1 (mod 8)
+        self.assert_g_circulant(a @ a, 8, 1)
 
     def test_inverse_law(self, gf16):
         rng = random.Random(32)
@@ -262,32 +273,32 @@ class TestShiftLaws:
             if a.determinant() == 0:
                 continue
             done += 1
-            g_inv, row_inv = inverse_shift_law(spec)
-            assert spec.g * g_inv % spec.k == 1 % spec.k
-            assert build_g_circulant(GCirculantSpec(gf16, spec.k, g_inv, row_inv)) == a.inverse()
+            g_inv = pow(spec.g, -1, spec.k) if spec.k > 1 else 0
+            inv = a.inverse()
+            assert a @ inv == Matrix.identity(gf16, spec.k)
+            self.assert_g_circulant(inv, spec.k, g_inv)
 
     def test_inverse_law_k5_g3(self, gf16):
         rng = random.Random(33)
         while True:
-            spec = GCirculantSpec(gf16, 5, 3, random_row(rng, gf16, 5))
-            if build_g_circulant(spec).determinant():
+            a = build_g_circulant(GCirculantSpec(gf16, 5, 3, random_row(rng, gf16, 5)))
+            if a.determinant():
                 break
-        g_inv, _ = inverse_shift_law(spec)
-        assert g_inv == 2  # 3 * 2 = 6 = 1 (mod 5)
+        self.assert_g_circulant(a.inverse(), 5, 2)  # 3 * 2 = 6 = 1 (mod 5)
+        assert not satisfies_shift(a.inverse(), 3)
 
     def test_inverse_law_singular(self, gf16):
-        spec = GCirculantSpec(gf16, 4, 1, (0, 0, 0, 0))
         with pytest.raises(SingularMatrixError):
-            inverse_shift_law(spec)
+            build_g_circulant(GCirculantSpec(gf16, 4, 1, (0, 0, 0, 0))).inverse()
 
     def test_transpose_law(self, gf16):
         rng = random.Random(34)
-        spec = GCirculantSpec(gf16, 5, 3, random_row(rng, gf16, 5))
-        g_inv, row_t = transpose_shift_law(spec)
-        assert g_inv == 2
-        a = build_g_circulant(spec)
-        assert satisfies_shift(a.transpose(), 2)
-        assert build_g_circulant(GCirculantSpec(gf16, 5, 2, row_t)) == a.transpose()
+        a = build_g_circulant(GCirculantSpec(gf16, 5, 3, random_row(rng, gf16, 5)))
+        self.assert_g_circulant(a.transpose(), 5, 2)
+        for _ in range(20):
+            spec = random_spec(rng, gf16, rng.randrange(1, 8))
+            g_inv = pow(spec.g, -1, spec.k) if spec.k > 1 else 0
+            self.assert_g_circulant(build_g_circulant(spec).transpose(), spec.k, g_inv)
 
 
 class TestCyclicToCirculant:

@@ -1,8 +1,11 @@
 """CLI contract: subcommands, JSON output on stdout, diagnostics on
 stderr, exit codes 0/1/2/3."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +13,7 @@ import pytest
 
 import gcirc
 import gcirc.cli as cli_mod
+from gcirc import jsonio
 from gcirc.cli import main
 
 FIELD_165 = ["--field-m", "8", "--field-poly", "0x165"]
@@ -181,6 +185,59 @@ class TestSpecTypes:
             assert named in err and "Traceback" not in err
 
 
+class TestCheckStructure:
+    SPEC = '{"k": 2, "g": 1, "row": %s, "field": {"m": 2, "poly": "0x7"}}'
+    CYCLIC = '{"k": 2, "rho": %s, "row": ["0x1", "0x0"], "field": {"m": 2, "poly": "0x7"}}'
+    MATRIX = '{%s"entries": %s, "field": {"m": 2, "poly": "0x7"}}'
+    IDENTITY = '[["0x1", "0x0"], ["0x0", "0x1"]]'
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (SPEC % '["0x1", "0x0"]', None),
+            (CYCLIC % "[1, 0]", None),
+            (MATRIX % ("", IDENTITY), None),
+            (MATRIX % ('"k": 2, ', IDENTITY), None),
+            ("[1, 2]", "JSON object"),
+            ('"entries"', "JSON object"),
+            ("null", "JSON object"),
+            (SPEC % "5", "'row'"),
+            (SPEC % '"10"', "'row'"),
+            (SPEC % '{"1": 0, "0": 0}', "'row'"),
+            (SPEC % '["0x1", 0]', "'row'"),
+            (SPEC % "null", "'row'"),
+            (CYCLIC % "5", "'rho'"),
+            (CYCLIC % '"10"', "'rho'"),
+            (CYCLIC % "[true, false]", "'rho'"),
+            (CYCLIC % "[1.0, 0.0]", "'rho'"),
+            (MATRIX % ("", "5"), "'entries'"),
+            (MATRIX % ("", "[5]"), "'entries'"),
+            (MATRIX % ("", '["10", "01"]'), "'entries'"),
+            (MATRIX % ("", "[[1, 0], [0, 1]]"), "'entries'"),
+            (MATRIX % ("", '{"0x1": 1}'), "'entries'"),
+            (MATRIX % ('"k": 2, ', '[["0x1"]]'), "'k'"),
+            (MATRIX % ('"k": 1, ', IDENTITY), "'k'"),
+            (MATRIX % ('"k": 3, ', IDENTITY), "'k'"),
+            (MATRIX % ('"k": 2, ', '[["0x1", "0x0", "0x0"], ["0x0", "0x1", "0x0"]]'), "'k'"),
+            (MATRIX % ('"k": 2.0, ', IDENTITY), "'k'"),
+            (MATRIX % ('"k": true, ', '[["0x1"]]'), "'k'"),
+            (MATRIX % ('"k": "2", ', IDENTITY), "'k'"),
+        ],
+    )
+    def test_check_file_structure(self, capsys, tmp_path, text, named):
+        # every valid form is the identity, so only the structure can fail
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["check", str(path)])
+        if named is None:
+            assert code == 0
+            assert json.loads(out)["involutory"] is True
+        else:
+            assert code == 2
+            assert out == ""
+            assert named in err and "Traceback" not in err
+
+
 class TestFieldBlock:
     @pytest.mark.parametrize(
         "field, named",
@@ -336,6 +393,10 @@ class TestSearch:
             ({"prune_power_of_two": 1}, "'prune_power_of_two'"),
             ({"debug_recheck": "0.5"}, "'debug_recheck'"),
             ({"debug_recheck": True}, "'debug_recheck'"),
+            ({"prune_power_of_2": True}, "'prune_power_of_2'"),
+            ({"resume": 3, "stop": 10}, "'resume', 'stop'"),
+            ({"row_space": {"kind": "EXHAUSTIVE", "sead": 5}}, "'sead'"),
+            ({"row_space": {"kind": "RANDOM", "count": 30, "seed": 5, "size": 9}}, "'size'"),
         ],
     )
     def test_job_field_types(self, capsys, tmp_path, change, named):
@@ -445,6 +506,80 @@ class TestSearch:
         code, _, err = run(capsys, ["search", path])
         assert code == 130
         assert "--resume 40" in err
+
+
+class InterruptAfterLines(io.StringIO):
+    """A stdout that raises KeyboardInterrupt once `lines` lines are written."""
+
+    def __init__(self, lines: int):
+        super().__init__()
+        self.left = lines
+
+    def write(self, text):
+        written = super().write(text)
+        self.left -= text.count("\n")
+        if self.left <= 0:
+            raise KeyboardInterrupt
+        return written
+
+
+class TestInterruptResume:
+    JOB = {
+        "field": {"m": 4, "poly": "0x13"},
+        "k": 2,
+        "target": "SEMI_INVOLUTORY_MDS",
+        "row_space": {"kind": "EXHAUSTIVE"},
+    }
+
+    def job_argv(self, tmp_path, *extra):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(self.JOB))
+        return ["search", str(path), *extra]
+
+    def resumed_output(self, capsys, argv, err):
+        token = re.search(r"--resume (\d+)", err).group(1)
+        _, tail, _ = run(capsys, argv + ["--resume", token])
+        return tail
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_each_hit_printed_once(self, capsys, tmp_path, fmt):
+        # interrupted once the n-th hit's line is written: the resumed
+        # run must not print it again
+        argv = self.job_argv(tmp_path, "--format", fmt)
+        _, whole, _ = run(capsys, argv)
+        n_hits = len(whole.splitlines())
+        assert n_hits > 3
+        for n in (1, 2, n_hits // 2, n_hits - 1):
+            head = InterruptAfterLines(n)
+            with contextlib.redirect_stdout(head):
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 130
+            assert len(head.getvalue().splitlines()) == n
+            assert head.getvalue() + self.resumed_output(capsys, argv, err) == whole
+
+    def test_no_hit_lost_while_formatting(self, capsys, tmp_path, monkeypatch):
+        # interrupted while the n-th hit's line is built, before any of it
+        # is written: the resumed run must print it
+        argv = self.job_argv(tmp_path)
+        _, whole, _ = run(capsys, argv)
+        n_hits = len(whole.splitlines())
+        to_json = jsonio.result_to_json
+        for n in (1, 2, n_hits // 2, n_hits):
+            calls = []
+
+            def interrupt_nth(result):
+                calls.append(result)
+                if len(calls) == n:
+                    raise KeyboardInterrupt
+                return to_json(result)
+
+            monkeypatch.setattr(jsonio, "result_to_json", interrupt_nth)
+            code, head, err = run(capsys, argv)
+            monkeypatch.setattr(jsonio, "result_to_json", to_json)
+            assert code == 130
+            assert len(head.splitlines()) == n - 1
+            assert head + self.resumed_output(capsys, argv, err) == whole
 
 
 class TestRepro:

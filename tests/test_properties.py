@@ -27,7 +27,6 @@ from gcirc import (
     involutory_g_filter,
     is_involutory,
     is_mds,
-    is_orthogonal,
     left_circulant_involutory_conditions,
     ratio_components,
     rescale_pair,
@@ -106,23 +105,41 @@ class TestMds:
         assert caught
 
 
+def assert_verdicts(a, involutory=None, orthogonal=None):
+    """full_report's involutory/orthogonal fields against A @ A = I and
+    A @ A^T = I computed directly, and against expected values if given."""
+    rep = full_report(a)
+    identity = Matrix.identity(a.ctx, a.rows)
+    assert rep.involutory == (a @ a == identity) == is_involutory(a)
+    assert rep.orthogonal == (a @ a.transpose() == identity)
+    if involutory is not None:
+        assert rep.involutory == involutory
+    if orthogonal is not None:
+        assert rep.orthogonal == orthogonal
+    return rep
+
+
 class TestInvolutoryOrthogonal:
     def test_identity(self, gf16):
         i = Matrix.identity(gf16, 4)
         assert is_involutory(i)
-        assert is_orthogonal(i)
+        assert_verdicts(i, involutory=True, orthogonal=True)
 
     def test_reference_cases(self, ctx165):
         row = tuple(ctx165.parse(s) for s in PAPER_ROW_STRS)
         assert is_involutory(build_left_circulant(ctx165, row))
         assert not is_involutory(build_g_circulant(GCirculantSpec(ctx165, 5, 3, row)))
+        # the left-circulant is symmetric, so involutory makes it orthogonal too
+        assert_verdicts(build_left_circulant(ctx165, row), involutory=True, orthogonal=True)
+        assert_verdicts(build_g_circulant(GCirculantSpec(ctx165, 5, 3, row)), involutory=False)
 
     def test_permutation_matrices_orthogonal(self, gf16):
         rng = random.Random(41)
         for _ in range(20):
             k = rng.randrange(1, 7)
-            m = Permutation(rng.sample(range(k), k)).to_matrix(gf16)
-            assert is_orthogonal(m)
+            perm = Permutation(rng.sample(range(k), k))
+            rep = assert_verdicts(perm.to_matrix(gf16), orthogonal=True)
+            assert rep.involutory == (perm.compose(perm) == Permutation.identity(k))
 
     def test_symmetric_involutory_is_orthogonal(self, gf16):
         rng = random.Random(42)
@@ -132,8 +149,25 @@ class TestInvolutoryOrthogonal:
             a = build_left_circulant(gf16, row)
             if is_involutory(a):
                 found += 1
-                assert is_orthogonal(a)
+                assert a == a.transpose()
+                assert_verdicts(a, involutory=True, orthogonal=True)
         assert found > 0
+
+    def test_verdicts_in_every_field(self, gf4, gf16, ctx165, ctx11d):
+        # random matrices (almost never either), conjugates S (I + E_0,k-1) S^-1
+        # (involutory) and singular ones (neither), in every test field
+        rng = random.Random(46)
+        for ctx in (gf4, gf16, ctx165, ctx11d):
+            for _ in range(40):
+                k = rng.randrange(1, 6)
+                a = Matrix(ctx, [random_row(rng, ctx, k) for _ in range(k)])
+                assert_verdicts(a)
+                flip = [[1 if i == j or (i, j) == (0, k - 1) else 0 for j in range(k)] for i in range(k)]
+                s = Matrix(ctx, [random_row(rng, ctx, k) for _ in range(k)])
+                if s.determinant():
+                    assert_verdicts(s @ Matrix(ctx, flip) @ s.inverse(), involutory=True)
+                zero_row = Matrix(ctx, [[0] * k] + [random_row(rng, ctx, k) for _ in range(k - 1)])
+                assert_verdicts(zero_row, involutory=False, orthogonal=False)
 
 
 class TestSemiDetection:
@@ -398,7 +432,7 @@ class TestFullReport:
         assert rep.semi_orthogonal is not None
 
     def test_singular_report(self, gf16):
-        rep = full_report(Matrix(gf16, [[1, 1], [1, 1]]))
-        assert not rep.mds and not rep.involutory and not rep.orthogonal
+        rep = assert_verdicts(Matrix(gf16, [[1, 1], [1, 1]]), involutory=False, orthogonal=False)
+        assert not rep.mds
         assert rep.semi_involutory is None
         assert rep.semi_orthogonal is None
