@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     except SpaceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (GcircError, ValueError, FileNotFoundError) as exc:
+    except (GcircError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -1,6 +1,7 @@
 """MDS and involutory checks, detection of semi-involutory and
-semi-orthogonal structure with diagonal-pair recovery, and a full
-report that reads involutory and orthogonal off the same inverse.
+semi-orthogonal structure with diagonal-pair recovery, and a lazy full
+report: each check runs the first time its field is read, at most once,
+and involutory, orthogonal and both detections share one inverse.
 
 A matrix A is semi-involutory when D1 * A * D2 = A^{-1} for some
 nonsingular diagonal matrices, and semi-orthogonal when
@@ -16,6 +17,7 @@ import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .circulant import shifted_convolution
@@ -47,16 +49,63 @@ class DiagonalPair:
             raise ValueError("diagonal witnesses must be non-singular")
 
 
-@dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of all five property checks for one matrix."""
+    """The five property checks of one matrix. Each field is computed the
+    first time it is read and kept: mds and mds_witness from one is_mds
+    sweep, the other four from one shared inverse and its transpose (a
+    singular matrix is neither involutory nor orthogonal and has no
+    pairs). Reports compare and hash by the six fields."""
 
-    mds: bool
-    mds_witness: tuple[tuple[int, ...], tuple[int, ...]] | None
-    involutory: bool
-    orthogonal: bool
-    semi_involutory: DiagonalPair | None
-    semi_orthogonal: DiagonalPair | None
+    FIELDS = ("mds", "mds_witness", "involutory", "orthogonal", "semi_involutory", "semi_orthogonal")
+
+    def __init__(self, a: Matrix):
+        self.matrix = a
+
+    @cached_property
+    def _mds(self) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+        return is_mds(self.matrix)
+
+    mds = property(lambda self: self._mds[0])
+    mds_witness = property(lambda self: self._mds[1])
+
+    @cached_property
+    def _inverse(self) -> Matrix | None:
+        try:
+            return self.matrix.inverse()
+        except SingularMatrixError:
+            return None
+
+    @cached_property
+    def _inverse_t(self) -> Matrix | None:
+        return None if self._inverse is None else self._inverse.transpose()
+
+    @cached_property
+    def involutory(self) -> bool:
+        return self._inverse is not None and self._inverse == self.matrix
+
+    @cached_property
+    def orthogonal(self) -> bool:
+        return self._inverse_t is not None and self._inverse_t == self.matrix
+
+    @cached_property
+    def semi_involutory(self) -> DiagonalPair | None:
+        return None if self._inverse is None else _detect(self.matrix, self._inverse)
+
+    @cached_property
+    def semi_orthogonal(self) -> DiagonalPair | None:
+        return None if self._inverse_t is None else _detect(self.matrix, self._inverse_t)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        return isinstance(other, PropertyReport) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "PropertyReport(" + ", ".join(f"{n}={v!r}" for n, v in zip(self.FIELDS, self._fields())) + ")"
 
 
 def is_mds(a: Matrix):
@@ -206,14 +255,7 @@ def _detect(a: Matrix, b: Matrix) -> DiagonalPair | None:
     sol = _solve_diagonal_sandwich(a, b)
     if sol is None:
         return None
-    d1, d2 = sol
-    k = a.rows
-    return DiagonalPair(
-        d1,
-        d2,
-        scalar1=diagonal_power_scalar(a.ctx, d1, k),
-        scalar2=diagonal_power_scalar(a.ctx, d2, k),
-    )
+    return _scaled_pair(a.ctx, *sol, a.rows)
 
 
 def detect_semi_involutory(a: Matrix) -> DiagonalPair | None:
@@ -237,17 +279,17 @@ def diagonal_power_scalar(ctx: GF2m, d, k: int) -> int | None:
     return None
 
 
+def _scaled_pair(ctx: GF2m, d1, d2, k: int) -> DiagonalPair:
+    """The pair (d1, d2) with its k-th power scalars filled in."""
+    return DiagonalPair(d1, d2, diagonal_power_scalar(ctx, d1, k), diagonal_power_scalar(ctx, d2, k))
+
+
 def rescale_pair(ctx: GF2m, pair: DiagonalPair, lam: int, k: int) -> DiagonalPair:
     """The orbit member (lam*D1, lam^{-1}*D2)."""
     ilam = ctx.inv(lam)
     d1 = tuple(ctx.mul(lam, x) for x in pair.d1)
     d2 = tuple(ctx.mul(ilam, x) for x in pair.d2)
-    return DiagonalPair(
-        d1,
-        d2,
-        scalar1=diagonal_power_scalar(ctx, d1, k),
-        scalar2=diagonal_power_scalar(ctx, d2, k),
-    )
+    return _scaled_pair(ctx, d1, d2, k)
 
 
 def scaling_freedom_normalize(ctx: GF2m, pair: DiagonalPair, components) -> DiagonalPair:
@@ -266,12 +308,7 @@ def scaling_freedom_normalize(ctx: GF2m, pair: DiagonalPair, components) -> Diag
             d1[i] = ctx.mul(d1[i], lam)
         for j in cols:
             d2[j] = ctx.mul(d2[j], ilam)
-    return DiagonalPair(
-        tuple(d1),
-        tuple(d2),
-        scalar1=diagonal_power_scalar(ctx, d1, k),
-        scalar2=diagonal_power_scalar(ctx, d2, k),
-    )
+    return _scaled_pair(ctx, d1, d2, k)
 
 
 def left_circulant_involutory_conditions(ctx: GF2m, row) -> bool:
@@ -301,23 +338,6 @@ def involutory_g_filter(g: int, k: int) -> bool:
 
 
 def full_report(a: Matrix) -> PropertyReport:
-    """Run all five property checks on one square matrix.
-
-    Involutory (A^{-1} = A) and orthogonal ((A^{-1})^T = A) are read off
-    the inverse that the semi-property detection needs anyway; a
-    singular matrix is neither.
-    """
-    mds, witness = is_mds(a)
-    try:
-        inv = a.inverse()
-    except SingularMatrixError:
-        return PropertyReport(mds, witness, False, False, None, None)
-    inv_t = inv.transpose()
-    return PropertyReport(
-        mds=mds,
-        mds_witness=witness,
-        involutory=inv == a,
-        orthogonal=inv_t == a,
-        semi_involutory=_detect(a, inv),
-        semi_orthogonal=_detect(a, inv_t),
-    )
+    """All five property checks of one square matrix, run lazily: nothing
+    is computed until a field of the report is read."""
+    return PropertyReport(a)

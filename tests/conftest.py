@@ -111,6 +111,23 @@ def brute_force_sandwich_pairs(a: Matrix, b: Matrix) -> list[tuple[tuple, tuple]
     return out
 
 
+def diagonal(ctx: GF2m, d) -> Matrix:
+    """The diagonal matrix with diagonal d."""
+    return Matrix(ctx, [[x if i == j else 0 for j, x in enumerate(d)] for i in range(len(d))])
+
+
+def sandwich_pair_exists(a: Matrix, b: Matrix) -> bool:
+    """Whether nonzero diagonals D1, D2 with D1*A*D2*B = I exist, decided
+    without inverting A: pairs scale as (lam*D1, lam^-1*D2), so d2[0] = 1
+    loses nothing, and D1 exists iff A*D2*B is diagonal and nonsingular."""
+    ctx, k = a.ctx, a.rows
+    for tail in product(range(1, ctx.q), repeat=k - 1):
+        m = a @ diagonal(ctx, (1, *tail)) @ b
+        if all(bool(m[i, j]) == (i == j) for i in range(k) for j in range(k)):
+            return True
+    return False
+
+
 def random_row(rng: random.Random, ctx: GF2m, k: int, nonzero: bool = False) -> tuple[int, ...]:
     lo = 1 if nonzero else 0
     return tuple(rng.randrange(lo, ctx.q) for _ in range(k))

@@ -153,6 +153,11 @@ class TestCheck:
         code, _, err = run(capsys, ["check", "/nonexistent/x.json"])
         assert code == 2
 
+    def test_directory_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["check", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert "Is a directory" in err
+
 
 class TestSpecTypes:
     @pytest.mark.parametrize(
@@ -429,6 +434,26 @@ class TestSearch:
         code, _, err = run(capsys, ["search", path])
         assert code == 3
         assert "partition" in err
+
+    def test_space_guard_message_is_bounded(self, capsys, tmp_path):
+        # 3200 coprime g times 4^8000 rows: a window of over 16,000 bits
+        path = self.job_path(
+            tmp_path,
+            {
+                "field": {"m": 2, "poly": "0x7"},
+                "k": 8000,
+                "target": "MDS_ONLY",
+                "row_space": {"kind": "EXHAUSTIVE"},
+            },
+        )
+        code, _, err = run(capsys, ["search", path])
+        assert code == 3
+        assert "2^24 cap" in err and len(err) < 200
+
+    def test_directory_job(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["search", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert "Is a directory" in err
 
     def test_resume_concatenation(self, capsys, tmp_path):
         payload = {

@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+import gcirc.properties as properties_mod
 from gcirc import (
     DiagonalPair,
     GF2m,
@@ -436,3 +437,32 @@ class TestFullReport:
         assert not rep.mds
         assert rep.semi_involutory is None
         assert rep.semi_orthogonal is None
+
+    def test_fields_computed_on_first_read_and_kept(self, gf16, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(properties_mod, "is_mds", counted("is_mds", properties_mod.is_mds))
+        monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
+        monkeypatch.setattr(properties_mod, "_detect", counted("detect", properties_mod._detect))
+        a = build_circulant(gf16, (1, 2, 4))
+        rep = full_report(a)
+        assert calls == []
+        assert (rep.mds, rep.mds_witness) == elimination_mds(a) and calls == ["is_mds"]
+        rep.semi_orthogonal, rep.semi_orthogonal, rep.orthogonal
+        assert calls == ["is_mds", "inverse", "detect"]
+        for name in properties_mod.PropertyReport.FIELDS:
+            getattr(rep, name)
+        assert sorted(calls) == ["detect", "detect", "inverse", "is_mds"]
+
+    def test_equality_and_hash_follow_the_fields(self, gf16):
+        a = build_circulant(gf16, (1, 2, 4))
+        assert full_report(a) == full_report(Matrix(gf16, [list(r) for r in a.entries]))
+        assert hash(full_report(a)) == hash(full_report(a))
+        assert full_report(a) != full_report(build_circulant(gf16, (2, 1, 4)))

@@ -2,12 +2,17 @@
 partition equality, constrained row streams, and guards."""
 
 import json
+from collections import Counter
 from itertools import product
 
 import pytest
 
+import gcirc.properties as properties_mod
+import gcirc.search as search_mod
 from gcirc import (
     ConfigError,
+    GCirculantSpec,
+    Matrix,
     ResumeTokenError,
     RowSpace,
     RowSpaceKind,
@@ -24,6 +29,12 @@ from gcirc import (
     target_satisfied,
 )
 from gcirc.jsonio import job_from_json, job_to_json, result_to_json
+from conftest import diagonal, elimination_mds, sandwich_pair_exists, schoolbook_pow
+
+# every candidate of the three exhaustive spaces; the GF(2^4), k = 3
+# sample adds non-symmetric g-circulants, on which involutory and
+# orthogonal (and the two semi-properties) differ
+SECOND_OPINION_SPACES = [("gf4", 2, None), ("gf4", 3, None), ("gf16", 2, None), ("gf16", 3, 48)]
 
 
 def exhaustive_job(ctx, k, target, **kw):
@@ -94,6 +105,123 @@ class TestCompleteness:
         # re-verifies every pruned candidate; any unsound prune would raise
         job = exhaustive_job(gf16, 2, Target.INVOLUTORY_MDS, debug_recheck=1.0)
         collect(job)
+
+
+def candidates(job):
+    """(token, spec) for every candidate of an unconstrained job."""
+    per_g = job.per_g_size()
+    for token in range(job.total_candidates()):
+        g = job.g_set[token // per_g]
+        yield token, GCirculantSpec(job.ctx, job.k, g, job.row_at(g, token % per_g))
+
+
+def oracle_scalar(ctx, d, k):
+    powers = {schoolbook_pow(ctx, x, k) for x in d}
+    return powers.pop() if len(powers) == 1 else None
+
+
+class TestSecondOpinion:
+    """Every hit's report, and the search's verdict on every candidate,
+    against the conftest oracles and dense products, never through
+    gcirc.properties."""
+
+    @pytest.mark.parametrize("field, k, sample", SECOND_OPINION_SPACES)
+    @pytest.mark.parametrize("target", list(Target))
+    def test_hits_and_misses_match_oracles(self, request, field, k, sample, target):
+        ctx = request.getfixturevalue(field)
+        if sample is None:
+            job = exhaustive_job(ctx, k, target)
+        else:
+            job = SearchJob(ctx, k, target, RowSpace(RowSpaceKind.RANDOM, count=sample, seed=7))
+        hits = {res.token: res for res in collect(job)}
+        identity = Matrix.identity(ctx, k)
+        for token, spec in candidates(job):
+            a = build_g_circulant(spec)
+            at = a.transpose()
+            mds = elimination_mds(a)
+            involutory = a @ a == identity
+            semi = {
+                "semi_involutory": (a, sandwich_pair_exists(a, a)),
+                "semi_orthogonal": (at, sandwich_pair_exists(a, at)),
+            }
+            satisfied = mds[0] and {
+                Target.INVOLUTORY_MDS: involutory,
+                Target.SEMI_INVOLUTORY_MDS: semi["semi_involutory"][1],
+                Target.SEMI_ORTHOGONAL_MDS: semi["semi_orthogonal"][1],
+                Target.MDS_ONLY: True,
+            }[target]
+            assert (token in hits) == satisfied, spec
+            if token not in hits:
+                continue
+            res = hits.pop(token)
+            assert res.spec == spec
+            assert (res.report.mds, res.report.mds_witness) == mds
+            assert res.report.involutory == involutory
+            assert res.report.orthogonal == (a @ at == identity)
+            for name, (b, exists) in semi.items():
+                pair = getattr(res.report, name)
+                assert (pair is not None) == exists, (spec, name)
+                if pair is not None:
+                    assert diagonal(ctx, pair.d1) @ a @ diagonal(ctx, pair.d2) @ b == identity
+                    assert pair.scalar1 == oracle_scalar(ctx, pair.d1, k)
+                    assert pair.scalar2 == oracle_scalar(ctx, pair.d2, k)
+        assert not hits
+
+
+class TestOneEvaluationPerCandidate:
+    @pytest.mark.parametrize("field, k", [("gf4", 2), ("gf16", 2)])
+    @pytest.mark.parametrize("target", list(Target))
+    def test_each_survivor_built_and_checked_once(self, request, monkeypatch, field, k, target):
+        ctx = request.getfixturevalue(field)
+        calls = {"build": [], "is_mds": [], "inverse": [], "detect": []}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                call = [args, None]  # keeps args alive, so ids stay unique
+                calls[name].append(call)
+                call[1] = fn(*args)
+                return call[1]
+
+            return wrapper
+
+        monkeypatch.setattr(search_mod, "build_g_circulant", counted("build", build_g_circulant))
+        monkeypatch.setattr(properties_mod, "is_mds", counted("is_mds", properties_mod.is_mds))
+        monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
+        monkeypatch.setattr(properties_mod, "_detect", counted("detect", properties_mod._detect))
+        job = exhaustive_job(ctx, k, target)
+        results = collect(job)
+        for res in results:
+            result_to_json(res)  # reads every field of the hit's report
+        assert len(set(results)) == len(results)
+
+        def survives(spec):  # no zero entry and, for INVOLUTORY_MDS, A @ A = I
+            if 0 in spec.row:
+                return False
+            a = build_g_circulant(spec)
+            return target is not Target.INVOLUTORY_MDS or a @ a == Matrix.identity(ctx, k)
+
+        survivors = [spec for _, spec in candidates(job) if survives(spec)]
+        assert [args[0] for args, _ in calls["build"]] == survivors
+        built = {id(a) for _, a in calls["build"]}
+        for name in ("is_mds", "inverse"):
+            seen = Counter(id(args[0]) for args, _ in calls[name])
+            assert set(seen) <= built and set(seen.values()) <= {1}, name
+        detections = Counter((id(a), id(b)) for (a, b), _ in calls["detect"])
+        assert set(detections.values()) <= {1}
+        assert all(n <= 2 for n in Counter(a for a, _ in detections).values())
+
+        # cheapest first: what a rejected candidate costs
+        hit_ids = {id(res.report.matrix) for res in results}
+        checked = {id(args[0]) for args, _ in calls["is_mds"]}
+        mds_ids = {id(args[0]) for args, (ok, _) in calls["is_mds"] if ok}
+        inverted = {id(args[0]) for args, _ in calls["inverse"]}
+        paired = {id(args[0]) for args, pair in calls["detect"] if pair is not None}
+        if target is Target.MDS_ONLY:
+            assert checked == built and inverted == hit_ids
+        elif target is Target.INVOLUTORY_MDS:
+            assert checked == built and inverted == mds_ids
+        else:
+            assert inverted == built and checked <= paired
 
 
 class TestDeterminism:
