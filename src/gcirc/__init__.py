@@ -16,6 +16,7 @@ from .circulant import (
     rotation_perm,
     satisfies_shift,
     shifted_convolution,
+    square_is_identity,
     square_structured,
 )
 from .errors import (

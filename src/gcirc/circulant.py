@@ -9,18 +9,20 @@ arbitrary k-cycle rho via C[i,j] = c_{rho^{-i}(j)}.
 
 Structure laws computed here: the shift relation
 A[i,j] = A[i+1, j+g] and detection of g from it, the square as a
-(g^2, convolution row) pair, the permutation equivalence between
-cyclic and circulant matrices, and the left-circulant minors of a
-(2^{d-1}-1)-circulant of order 2^d. The laws that are only asserted
-(A = Q_g * circ(c), inverse and transpose g^{-1}-circulant, product
-of a g- and an h-circulant gh-circulant) are checked against dense
-arithmetic in the tests.
+(g^2, convolution row) pair, the characteristic-2 square law that
+decides A^2 = I from the first row when g^2 = 1 (mod k), the
+permutation equivalence between cyclic and circulant matrices, and the
+left-circulant minors of a (2^{d-1}-1)-circulant of order 2^d. The
+laws that are only asserted (A = Q_g * circ(c), inverse and transpose
+g^{-1}-circulant, product of a g- and an h-circulant gh-circulant) are
+checked against dense arithmetic in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import DimensionError, NotCoprimeError, NotKCycleError
 from .field import GF2m
@@ -166,6 +168,44 @@ def square_structured(spec: GCirculantSpec):
     spec.require_coprime()
     g2 = spec.g * spec.g % spec.k
     return g2, tuple(shifted_convolution(spec.ctx, spec.row, spec.g))
+
+
+@cache
+def _square_plan(k: int, g: int):
+    """square_is_identity's index sets: per fixed l, l = 0 first, the i
+    with (g+1)*i = l; per orbit {l, g*l}, the pairs with g*i + j = l."""
+    if g * g % k != 1 % k:
+        raise ValueError(f"the square law needs g^2 = 1 (mod k), got g={g}, k={k}")
+    fixed = tuple(tuple(i for i in range(k) if (g + 1) * i % k == l) for l in range(k) if g * l % k == l)
+    orbits = tuple(tuple((i, (l - g * i) % k) for i in range(k)) for l in range(k) if l < g * l % k)
+    return fixed, orbits
+
+
+def square_is_identity(spec: GCirculantSpec) -> bool:
+    """A @ A = I for a spec with g^2 = 1 (mod k), from the first row alone.
+
+    Swapping i and j maps the pairs of square_structured's row2[l] onto
+    those of row2[g*l]. On a fixed l (g*l = l) each pair with i != j
+    cancels its swap in characteristic 2, so row2[l] is the square of the
+    sum of c_i over (g+1)*i = l, which must be 1 at l = 0 and 0 elsewhere;
+    each other orbit {l, g*l} needs one product sum to vanish. Exits at
+    the first failure."""
+    row = spec.row
+    fixed, orbits = _square_plan(spec.k, spec.g)
+    for n, indices in enumerate(fixed):
+        acc = 0
+        for i in indices:
+            acc ^= row[i]
+        if acc != (1 if n == 0 else 0):
+            return False
+    mul = spec.ctx.mul
+    for pairs in orbits:
+        acc = 0
+        for i, j in pairs:
+            acc ^= mul(row[i], row[j])
+        if acc:
+            return False
+    return True
 
 
 def cyclic_to_circulant(spec: CyclicSpec):

@@ -17,10 +17,10 @@ import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
-from .circulant import shifted_convolution
+from .circulant import GCirculantSpec, square_is_identity
 from .errors import DimensionError, SingularMatrixError, SpaceTooLargeError
 from .field import GF2m
 from .matrix import Matrix
@@ -119,7 +119,7 @@ def is_mds(a: Matrix):
     Minors are computed in that order by Laplace expansion along their
     first row, det(R, C) = sum over j in C of a[min R][j] * det(R - min R,
     C - j), from the minors one size smaller, kept per row set in an
-    array('H') indexed like the column sets.
+    array('H') indexed like the column sets, through a plan cached per size.
     """
     if not a.is_square:
         raise DimensionError("MDS check needs a square matrix")
@@ -129,24 +129,34 @@ def is_mds(a: Matrix):
     if k > MDS_WARN_DIM:
         warnings.warn(f"minor enumeration at k={k} is slow", stacklevel=2)
     mul, e = a.ctx.mul, a.entries
-    rank, prev = {(): 0}, {(): [1]}
+    prev = [array("H", [1])]
     for size in range(1, k + 1):
-        col_sets = list(combinations(range(k), size))
-        # per column set, its terms: (j, rank of cols - j one size down)
-        expansions = [[(j, rank[cols[:p] + cols[p + 1:]]) for p, j in enumerate(cols)] for cols in col_sets]
-        cur = {}
-        for rows in combinations(range(k), size):
-            top, sub, dets = e[rows[0]], prev[rows[1:]], array("H")
-            for cols, terms in zip(col_sets, expansions):
+        sets, subs, expansions = _minor_plan(k, size)
+        cur = []
+        for rows, sub_rank in zip(sets, subs):
+            top, sub, dets = e[rows[0]], prev[sub_rank], array("H")
+            for cols, terms in zip(sets, expansions):
                 det = 0
                 for j, i in terms:
                     det ^= mul(top[j], sub[i])
                 if det == 0:
                     return False, (rows, cols)
                 dets.append(det)
-            cur[rows] = dets
-        rank, prev = {cols: i for i, cols in enumerate(col_sets)}, cur
+            cur.append(dets)
+        prev = cur
     return True, None
+
+
+@cache
+def _minor_plan(k: int, size: int):
+    """is_mds's plan for one size: the size-subsets of range(k) in order,
+    per row set the rank of rows[1:] one size down, and per column set
+    its terms (j, rank of cols - j one size down)."""
+    sets = tuple(combinations(range(k), size))
+    rank = {cols: i for i, cols in enumerate(_minor_plan(k, size - 1)[0])} if size > 1 else {(): 0}
+    subs = tuple(rank[rows[1:]] for rows in sets)
+    expansions = tuple(tuple((j, rank[cols[:p] + cols[p + 1:]]) for p, j in enumerate(cols)) for cols in sets)
+    return sets, subs, expansions
 
 
 def is_involutory(a: Matrix) -> bool:
@@ -315,20 +325,12 @@ def left_circulant_involutory_conditions(ctx: GF2m, row) -> bool:
     """Involutory test for left-circulant matrices from the first row alone.
 
     True iff the row sums to 1 and, with g = k-1, the convolution
-    sum over g*i + j = l (mod k) vanishes for l = 1..floor((k-1)/2).
-    Equivalent to is_involutory(build_left_circulant(ctx, row)).
+    sum over g*i + j = l (mod k) vanishes for l = 1..floor((k-1)/2),
+    as square_is_identity decides. Equivalent to
+    is_involutory(build_left_circulant(ctx, row)).
     """
     row = tuple(row)
-    k = len(row)
-    total = 0
-    for c in row:
-        total ^= c
-    if total != 1:
-        return False
-    if k == 1:
-        return True
-    conv = shifted_convolution(ctx, row, k - 1)
-    return all(conv[l] == 0 for l in range(1, (k - 1) // 2 + 1))
+    return bool(row) and square_is_identity(GCirculantSpec(ctx, len(row), len(row) - 1, row))
 
 
 def involutory_g_filter(g: int, k: int) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator
 
-from .circulant import GCirculantSpec, build_g_circulant, square_structured
+from .circulant import GCirculantSpec, build_g_circulant, square_is_identity
 from .errors import ConfigError, ResumeTokenError, SpaceTooLargeError
 from .field import GF2m
 from .properties import PropertyReport, full_report, involutory_g_filter, left_circulant_involutory_conditions
@@ -117,10 +117,11 @@ class SearchJob:
         total = self.total_candidates()
         start = self.resume_token if self.resume_token is not None else 0
         stop = self.stop_token if self.stop_token is not None else total
+        shown = total if total.bit_length() <= 64 else f"(over 2^{(total - 1).bit_length() - 1})"
         if not 0 <= start <= total:
-            raise ResumeTokenError(f"resume token {start} outside 0..{total}")
+            raise ResumeTokenError(f"resume token {start} outside 0..{shown}")
         if not start <= stop <= total:
-            raise ResumeTokenError(f"stop token {stop} outside {start}..{total}")
+            raise ResumeTokenError(f"stop token {stop} outside {start}..{shown}")
         return start, stop
 
     def row_at(self, g: int, ordinal: int) -> tuple[int, ...]:
@@ -185,21 +186,18 @@ def target_satisfied(report: PropertyReport, target: Target) -> bool:
     return report.mds
 
 
-def _pruned(job: SearchJob, spec: GCirculantSpec) -> bool:
-    """True when an exact theorem filter rules the candidate out from its
-    spec alone, in ascending cost order."""
-    k, row = spec.k, spec.row
-    involutory = job.target is Target.INVOLUTORY_MDS
-    if involutory and job.prune_power_of_two and k >= 4 and k & (k - 1) == 0:
-        return True  # no involutory MDS g-circulant of order 2^d
-    if involutory and not involutory_g_filter(spec.g, k):
-        return True
-    if 0 in row:
+def _g_pruned(job: SearchJob, g: int) -> bool:
+    """True when an exact theorem filter rules out every row of g's block."""
+    k = job.k
+    power_of_two = job.prune_power_of_two and k >= 4 and k & (k - 1) == 0  # no involutory MDS of order 2^d
+    return job.target is Target.INVOLUTORY_MDS and (power_of_two or not involutory_g_filter(g, k))
+
+
+def _row_pruned(job: SearchJob, spec: GCirculantSpec) -> bool:
+    """True when an exact theorem filter rules out the row of a g that passed _g_pruned."""
+    if 0 in spec.row:
         return True  # MDS needs every entry nonzero
-    if involutory:
-        _, row2 = square_structured(spec)
-        return any(row2[l] != (1 if l == 0 else 0) for l in range(k))  # A^2 != I
-    return False
+    return job.target is Target.INVOLUTORY_MDS and not square_is_identity(spec)
 
 
 def constrained_left_circulant_rows(
@@ -226,11 +224,11 @@ def run_search(
     """Walk the job's token window and yield every verified hit.
 
     Results come out in ascending (g, ordinal) order. With pruning on,
-    the exact theorem filters of _pruned drop candidates first; every
-    other candidate, and every candidate without pruning, is decided by
-    target_satisfied on one full_report, which the hit carries.
-    debug_recheck samples that fraction of the pruned candidates and
-    asserts that the full report rejects them too.
+    _g_pruned drops whole g blocks before their rows are built, then
+    _row_pruned drops rows; every other candidate, and every candidate
+    without pruning, is decided by target_satisfied on one full_report,
+    which the hit carries. debug_recheck samples that fraction of the
+    pruned candidates and asserts that the full report rejects them too.
     on_progress(token) runs once the token is walked: for a hit, only
     when the consumer asks for the next result, so a consumer that
     must know its place while it handles a hit reads the hit's token.
@@ -243,19 +241,18 @@ def run_search(
         )
     per_g = job.per_g_size()
     constrained = job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
+    g_pruned = [job.pruning and _g_pruned(job, g) for g in job.g_set]
     for token in range(start, stop):
         gi, ordinal = divmod(token, per_g)
         g = job.g_set[gi]
-        row = job.row_at(g, ordinal)
-        if constrained and not left_circulant_involutory_conditions(job.ctx, row):
-            if on_progress is not None:
-                on_progress(token)
-            continue  # outside the constrained row space, not a candidate
-        spec = GCirculantSpec(job.ctx, job.k, g, row)
-        if job.pruning and _pruned(job, spec):
-            if job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck:
-                if target_satisfied(full_report(build_g_circulant(spec)), job.target):
-                    raise AssertionError(f"pruning dropped a qualifying candidate: {spec}")
+        recheck = job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck
+        # a pruned g block builds rows only for the tokens debug_recheck samples
+        spec = None if g_pruned[gi] and not recheck else GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal))
+        if spec is None or constrained and not square_is_identity(spec):
+            pass  # pruned with its g block, or outside the constrained row space
+        elif job.pruning and (g_pruned[gi] or _row_pruned(job, spec)):
+            if recheck and target_satisfied(full_report(build_g_circulant(spec)), job.target):
+                raise AssertionError(f"pruning dropped a qualifying candidate: {spec}")
         else:
             report = full_report(build_g_circulant(spec))
             if target_satisfied(report, job.target):

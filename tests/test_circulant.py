@@ -3,6 +3,7 @@ shift laws for products, inverses and transposes, structured squares,
 and the cyclic-to-circulant equivalence."""
 
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -26,6 +27,7 @@ from gcirc import (
     rotation_perm,
     satisfies_shift,
     shifted_convolution,
+    square_is_identity,
     square_structured,
 )
 from conftest import random_row, random_spec
@@ -237,6 +239,64 @@ class TestStructuredSquare:
     def test_requires_coprime(self, gf16):
         with pytest.raises(NotCoprimeError):
             square_structured(GCirculantSpec(gf16, 6, 2, (1,) * 6))
+
+
+def square_law_gs(k):
+    return [g for g in range(k) if g * g % k == 1 % k]
+
+
+def square_is_identity_oracle(spec):
+    g2, row2 = square_structured(spec)
+    return row2 == (1,) + (0,) * (spec.k - 1)
+
+
+class TestSquareLaw:
+    """square_is_identity against the full structured square."""
+
+    def test_every_gf4_row(self, gf4):
+        verdicts = set()
+        for k in range(2, 7):
+            for g in square_law_gs(k):
+                for row in product(range(4), repeat=k):
+                    spec = GCirculantSpec(gf4, k, g, row)
+                    verdict = square_is_identity(spec)
+                    assert verdict == square_is_identity_oracle(spec), spec
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_random_rows_every_g_up_to_k24(self, gf16, ctx11d):
+        rng = random.Random(61)
+        covered = set()
+        for ctx in (gf16, ctx11d):
+            for k in range(2, 25):
+                for g in square_law_gs(k):
+                    covered.add((k, g))
+                    for _ in range(12):
+                        spec = GCirculantSpec(ctx, k, g, random_row(rng, ctx, k))
+                        assert square_is_identity(spec) == square_is_identity_oracle(spec), spec
+        # the first orders with a g outside {1, k-1} and k not a power of two
+        assert {(12, 5), (12, 7), (15, 4), (15, 11)} <= covered
+
+    def test_planted_sparse_rows(self, gf16, ctx11d):
+        # c_0 = 1 and one value at two other places: both verdicts occur
+        rng = random.Random(62)
+        verdicts = []
+        for ctx in (gf16, ctx11d):
+            for k in range(3, 25):
+                for g in square_law_gs(k):
+                    for _ in range(12):
+                        row = [1] + [0] * (k - 1)
+                        value = rng.randrange(1, ctx.q)
+                        for i in rng.sample(range(1, k), 2):
+                            row[i] = value
+                        spec = GCirculantSpec(ctx, k, g, row)
+                        verdicts.append(square_is_identity(spec))
+                        assert verdicts[-1] == square_is_identity_oracle(spec), spec
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_needs_g_squared_one(self, gf16):
+        with pytest.raises(ValueError):
+            square_is_identity(GCirculantSpec(gf16, 5, 2, (1, 0, 0, 0, 0)))
 
 
 class TestShiftLaws:

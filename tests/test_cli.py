@@ -450,6 +450,26 @@ class TestSearch:
         assert code == 3
         assert "2^24 cap" in err and len(err) < 200
 
+    @pytest.mark.parametrize(
+        "tokens, named",
+        [({"resume_token": -1}, "resume token -1"), ({"stop_token": -1}, "stop token -1")],
+    )
+    def test_bad_token_message_is_bounded(self, capsys, tmp_path, tokens, named):
+        # the same window of over 16,000 bits: the bad token is named, the total is not printed
+        path = self.job_path(
+            tmp_path,
+            {
+                "field": {"m": 2, "poly": "0x7"},
+                "k": 8000,
+                "target": "MDS_ONLY",
+                "row_space": {"kind": "EXHAUSTIVE"},
+                **tokens,
+            },
+        )
+        code, out, err = run(capsys, ["search", path])
+        assert code == 2 and out == ""
+        assert named in err and len(err) < 200
+
     def test_directory_job(self, capsys, tmp_path):
         code, out, err = run(capsys, ["search", str(tmp_path)])
         assert code == 2 and out == ""

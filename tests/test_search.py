@@ -107,6 +107,57 @@ class TestCompleteness:
         collect(job)
 
 
+class TestPrunedGBlocks:
+    """g in {2, 3} fails g^2 = 1 (mod 5): those blocks are walked without
+    building a row, unless debug_recheck samples a token."""
+
+    COUNT = 40
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        calls = {"hash": 0, "rows": [], "built": []}
+        original_hash_entry, original_row_at = search_mod._hash_entry, SearchJob.row_at
+
+        def hash_entry(*args):
+            calls["hash"] += 1
+            return original_hash_entry(*args)
+
+        def row_at(job, g, ordinal):
+            calls["rows"].append(g)
+            return original_row_at(job, g, ordinal)
+
+        def build(spec):
+            calls["built"].append(spec)
+            return build_g_circulant(spec)
+
+        monkeypatch.setattr(search_mod, "_hash_entry", hash_entry)
+        monkeypatch.setattr(SearchJob, "row_at", row_at)
+        monkeypatch.setattr(search_mod, "build_g_circulant", build)
+        return calls
+
+    def job(self, ctx, **kw):
+        return SearchJob(ctx, 5, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=self.COUNT, seed=9), **kw)
+
+    def test_rows_built_only_for_surviving_g(self, ctx11d, recorded):
+        job = self.job(ctx11d)
+        assert job.g_set == (1, 2, 3, 4)
+        walked = []
+        list(run_search(job, on_progress=walked.append))
+        assert walked == list(range(4 * self.COUNT))
+        assert recorded["rows"] == [1] * self.COUNT + [4] * self.COUNT
+        assert recorded["hash"] == 2 * self.COUNT * 5
+
+    def test_debug_recheck_rebuilds_every_pruned_candidate(self, ctx11d, recorded):
+        job = self.job(ctx11d, debug_recheck=1.0)
+        walked = []
+        assert list(run_search(job, on_progress=walked.append)) == []
+        assert walked == list(range(4 * self.COUNT))
+        # every candidate is pruned, so every one is rebuilt and re-checked, in token order
+        assert [(s.g, s.row) for s in recorded["built"]] == [
+            (g, job.row_at(g, o)) for g in job.g_set for o in range(self.COUNT)
+        ]
+
+
 def candidates(job):
     """(token, spec) for every candidate of an unconstrained job."""
     per_g = job.per_g_size()
