@@ -56,9 +56,7 @@ from .properties import (
     is_involutory,
     is_mds,
     left_circulant_involutory_conditions,
-    ratio_components,
     rescale_pair,
-    scaling_freedom_normalize,
 )
 from .search import (
     RowSpace,
@@ -66,7 +64,6 @@ from .search import (
     SearchJob,
     SearchResult,
     Target,
-    constrained_left_circulant_rows,
     job_partition,
     run_search,
     target_satisfied,

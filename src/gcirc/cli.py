@@ -22,7 +22,7 @@ from .field import GF2m
 from .matrix import Matrix
 from .modular import sqrt_one_solutions
 from .properties import full_report
-from .search import run_search, job_partition
+from .search import job_part, run_search
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,10 +138,21 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path, or ParseError when it is not
+    valid JSON or nests deeper than the parser's recursion limit."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{what} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"{what} {path!r} nests its arrays or objects too deeply to parse") from None
+
+
 def _load_check_input(args) -> Matrix:
     if args.input is not None:
-        with open(args.input) as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.input, "check input")
         if not isinstance(obj, dict):
             raise ParseError("check input must contain a JSON object")
         if "entries" in obj:
@@ -205,12 +216,7 @@ def _cmd_sqrt1(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    with open(args.jobfile) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            return _usage_error(f"job file is not valid JSON: {exc}")
-    job = jsonio.job_from_json(obj)
+    job = jsonio.job_from_json(_read_json(args.jobfile, "job file"))
     if args.seed is not None:
         job = replace(job, row_space=replace(job.row_space, seed=args.seed))
     if args.resume is not None:
@@ -224,7 +230,7 @@ def _cmd_search(args) -> int:
             return _usage_error(f"--partition expects I/N, got {args.partition!r}")
         if not 1 <= part <= total:
             return _usage_error(f"partition index {part} outside 1..{total}")
-        job = job_partition(job, total)[part - 1]
+        job = job_part(job, part - 1, total)
 
     started = time.monotonic()
     progress = {"token": job.window()[0] - 1, "hits": 0}

@@ -175,37 +175,6 @@ def is_involutory(a: Matrix) -> bool:
     return True
 
 
-def ratio_components(a: Matrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Connected components of the bipartite graph with an edge per
-    nonzero entry, as (row indices, column indices) pairs sorted by
-    smallest column."""
-    k = a.rows
-    row_adj = [[j for j in range(a.cols) if a.entries[i][j]] for i in range(k)]
-    col_adj = [[i for i in range(k) if a.entries[i][j]] for j in range(a.cols)]
-    seen_rows, seen_cols = set(), set()
-    comps = []
-    for start in range(a.cols):
-        if start in seen_cols:
-            continue
-        rows, cols = set(), {start}
-        queue = deque([("c", start)])
-        seen_cols.add(start)
-        while queue:
-            kind, node = queue.popleft()
-            neighbors = col_adj[node] if kind == "c" else row_adj[node]
-            for nb in neighbors:
-                if kind == "c" and nb not in seen_rows:
-                    seen_rows.add(nb)
-                    rows.add(nb)
-                    queue.append(("r", nb))
-                elif kind == "r" and nb not in seen_cols:
-                    seen_cols.add(nb)
-                    cols.add(nb)
-                    queue.append(("c", nb))
-        comps.append((tuple(sorted(rows)), tuple(sorted(cols))))
-    return comps
-
-
 def _solve_diagonal_sandwich(a: Matrix, b: Matrix):
     """Diagonals (d1, d2) with d1[i]*A[i,j]*d2[j] = B[i,j] for all i, j.
 
@@ -299,25 +268,6 @@ def rescale_pair(ctx: GF2m, pair: DiagonalPair, lam: int, k: int) -> DiagonalPai
     ilam = ctx.inv(lam)
     d1 = tuple(ctx.mul(lam, x) for x in pair.d1)
     d2 = tuple(ctx.mul(ilam, x) for x in pair.d2)
-    return _scaled_pair(ctx, d1, d2, k)
-
-
-def scaling_freedom_normalize(ctx: GF2m, pair: DiagonalPair, components) -> DiagonalPair:
-    """Rescale so d2 = 1 at the smallest column node of each component.
-
-    components is the (rows, cols) list from ratio_components() of the
-    matrix the pair witnesses; detection output is already in this form.
-    """
-    k = len(pair.d1)
-    d1, d2 = list(pair.d1), list(pair.d2)
-    for rows, cols in components:
-        anchor = min(cols)
-        lam = d2[anchor]
-        ilam = ctx.inv(lam)
-        for i in rows:
-            d1[i] = ctx.mul(d1[i], lam)
-        for j in cols:
-            d2[j] = ctx.mul(d2[j], ilam)
     return _scaled_pair(ctx, d1, d2, k)
 
 

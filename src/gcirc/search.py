@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 from .circulant import GCirculantSpec, build_g_circulant, square_is_identity
 from .errors import ConfigError, ResumeTokenError, SpaceTooLargeError
 from .field import GF2m
-from .properties import PropertyReport, full_report, involutory_g_filter, left_circulant_involutory_conditions
+from .properties import PropertyReport, full_report, involutory_g_filter
 from .properties import is_mds  # noqa: F401  # kept as gcirc.search.is_mds, a name the benchmark's tracer test asserts
 
 CANDIDATE_CAP = 1 << 24
@@ -194,28 +194,16 @@ def _g_pruned(job: SearchJob, g: int) -> bool:
 
 
 def _row_pruned(job: SearchJob, spec: GCirculantSpec) -> bool:
-    """True when an exact theorem filter rules out the row of a g that passed _g_pruned."""
+    """True when an exact theorem filter rules out the row of a g that passed
+    _g_pruned. A constrained row is not squared again: run_search already
+    decided A^2 = I for it as its membership check."""
     if 0 in spec.row:
         return True  # MDS needs every entry nonzero
-    return job.target is Target.INVOLUTORY_MDS and not square_is_identity(spec)
-
-
-def constrained_left_circulant_rows(
-    ctx: GF2m, k: int, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Stream the first rows of involutory left-circulant matrices.
-
-    c_1..c_{k-1} run through all base-q numerals, c_0 is forced to
-    1 + sum of the rest, and rows failing the vanishing convolution
-    sums are dropped before any matrix is built.
-    """
-    if k < 1:
-        raise ConfigError(f"order must be >= 1, got {k}")
-    end = ctx.q ** (k - 1) if stop is None else stop
-    for ordinal in range(start, end):
-        row = _constrained_row(ordinal, ctx.q, k)
-        if left_circulant_involutory_conditions(ctx, row):
-            yield row
+    return (
+        job.target is Target.INVOLUTORY_MDS
+        and job.row_space.kind is not RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
+        and not square_is_identity(spec)
+    )
 
 
 def run_search(
@@ -261,6 +249,20 @@ def run_search(
             on_progress(token)
 
 
+def job_part(job: SearchJob, index: int, n_parts: int) -> SearchJob:
+    """Sub-job index (0-based) of job_partition(job, n_parts), built
+    without the other n_parts - 1."""
+    if not 0 <= index < n_parts:
+        raise ConfigError(f"part index {index} outside 0..{n_parts - 1}")
+    start, stop = job.window()
+    span = stop - start
+    return replace(
+        job,
+        resume_token=start + span * index // n_parts,
+        stop_token=start + span * (index + 1) // n_parts,
+    )
+
+
 def job_partition(job: SearchJob, n_parts: int) -> list[SearchJob]:
     """Split the token window into n contiguous sub-jobs.
 
@@ -269,9 +271,4 @@ def job_partition(job: SearchJob, n_parts: int) -> list[SearchJob]:
     """
     if n_parts < 1:
         raise ConfigError("need at least one part")
-    start, stop = job.window()
-    span = stop - start
-    cuts = [start + span * i // n_parts for i in range(n_parts + 1)]
-    return [
-        replace(job, resume_token=a, stop_token=b) for a, b in zip(cuts, cuts[1:])
-    ]
+    return [job_part(job, i, n_parts) for i in range(n_parts)]

@@ -158,6 +158,13 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "Is a directory" in err
 
+    def test_deeply_nested_input_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, ["check", str(path)])
+        assert code == 2 and out == ""
+        assert "deep.json" in err and "too deeply" in err
+
 
 class TestSpecTypes:
     @pytest.mark.parametrize(
@@ -469,6 +476,41 @@ class TestSearch:
         code, out, err = run(capsys, ["search", path])
         assert code == 2 and out == ""
         assert named in err and len(err) < 200
+
+    def test_deeply_nested_job_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, ["search", str(path)])
+        assert code == 2 and out == ""
+        assert "deep.json" in err and "too deeply" in err
+
+    def test_partition_builds_only_its_part(self, tmp_path):
+        # 2 * 10^12 tokens, every one a hit: part 2 of 10^12 is exactly the
+        # tokens [2, 4); the child's address space is capped, so building
+        # all 10^12 sub-jobs fails fast instead of exhausting memory
+        resource = pytest.importorskip("resource")
+        payload = {
+            "field": {"m": 8, "poly": "0x165"},
+            "k": 2,
+            "target": "MDS_ONLY",
+            "row_space": {"kind": "RANDOM", "count": 2 * 10**12, "seed": 0},
+        }
+        path = self.job_path(tmp_path, payload)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcirc", "search", path, "--partition", "2/1000000000000"],
+            capture_output=True,
+            text=True,
+            env=gcirc_env(),
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [json.loads(line)["ordinal"] for line in proc.stdout.splitlines()] == [2, 3]
+        assert "search done: 2 candidates, 2 results" in proc.stderr
 
     def test_directory_job(self, capsys, tmp_path):
         code, out, err = run(capsys, ["search", str(tmp_path)])

@@ -1,10 +1,11 @@
 """Property checks: MDS, involutory, orthogonal, semi-involutory,
-semi-orthogonal, scaling freedom, and the first-row involutory
-conditions for left-circulant matrices."""
+semi-orthogonal, the anchoring of detected pairs and their scaling
+freedom, and the first-row involutory conditions for left-circulant
+matrices."""
 
 import random
 import warnings
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -16,8 +17,12 @@ from gcirc import (
     GCirculantSpec,
     Matrix,
     Permutation,
+    RowSpace,
+    RowSpaceKind,
+    SearchJob,
     SingularMatrixError,
     SpaceTooLargeError,
+    Target,
     build_circulant,
     build_g_circulant,
     build_left_circulant,
@@ -29,9 +34,8 @@ from gcirc import (
     is_involutory,
     is_mds,
     left_circulant_involutory_conditions,
-    ratio_components,
     rescale_pair,
-    scaling_freedom_normalize,
+    run_search,
     shifted_convolution,
 )
 from conftest import brute_force_sandwich_pairs, elimination_mds, laplace_det, random_row
@@ -264,14 +268,106 @@ class TestSemiDetection:
             DiagonalPair((1, 0), (1, 1))
 
 
-class TestScalingFreedom:
-    def test_reference_pair_is_normal_form(self, gf4):
-        a = build_circulant(gf4, (1, 0x03))
-        pair = DiagonalPair((0x02, 0x02), (1, 1), scalar1=0x03, scalar2=1)
-        comps = ratio_components(a)
-        assert scaling_freedom_normalize(gf4, pair, comps) == pair
+def component_anchors(a: Matrix) -> list[int]:
+    """The smallest column of each connected component of the bipartite
+    graph with an edge per nonzero entry: columns sharing a nonzero row
+    are joined by union-find."""
+    parent = list(range(a.cols))
 
-    def test_rescale_then_normalize_round_trips(self, gf16):
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for row in a.entries:
+        cols = [j for j, x in enumerate(row) if x]
+        for j in cols[1:]:
+            parent[root(j)] = root(cols[0])
+    return [j for j in range(a.cols) if all(root(i) != root(j) for i in range(j))]
+
+
+def random_dense_block(rng, ctx, size):
+    while True:
+        block = Matrix(ctx, [[rng.randrange(1, ctx.q) for _ in range(size)] for _ in range(size)])
+        if block.determinant():
+            return block
+
+
+def block_diagonal(ctx, blocks, perm=None):
+    """blocks placed along the diagonal, then rows and columns both
+    relabelled by perm (p[i] is the new index of i), which interleaves
+    the components."""
+    k = sum(b.rows for b in blocks)
+    perm = perm or list(range(k))
+    entries = [[0] * k for _ in range(k)]
+    at = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                entries[perm[at + i]][perm[at + j]] = b[i, j]
+        at += b.rows
+    return Matrix(ctx, entries)
+
+
+def pattern_cases(rng, ctx):
+    """(name, matrix, semi-involutory expected) for matrices whose nonzero
+    pattern splits into several components. Every nonsingular dense 2x2
+    block is semi-involutory and semi-orthogonal, so every case is
+    semi-orthogonal; a permuted diagonal is semi-involutory only when
+    its permutation is an involution, as A^{-1} then has A's pattern."""
+    for k in (1, 2, 4):
+        yield "diagonal", block_diagonal(ctx, [random_dense_block(rng, ctx, 1) for _ in range(k)]), True
+    for sizes in ((2, 2), (1, 2, 2), (2, 1, 2, 1)):
+        blocks = [random_dense_block(rng, ctx, s) for s in sizes]
+        yield "block-diagonal", block_diagonal(ctx, blocks), True
+        perm = list(range(sum(sizes)))
+        rng.shuffle(perm)
+        yield "interleaved blocks", block_diagonal(ctx, blocks, perm), True
+    for perm in ((1, 0, 3, 2), (2, 1, 0), (1, 2, 0), (3, 0, 1, 2), (0, 2, 1, 4, 3)):
+        k = len(perm)
+        entries = [[rng.randrange(1, ctx.q) if perm[i] == j else 0 for j in range(k)] for i in range(k)]
+        involution = all(perm[perm[i]] == i for i in range(k))
+        yield "permuted diagonal", Matrix(ctx, entries), involution
+
+
+class TestAnchoring:
+    """Detection picks one pair per scaling family: d2 = 1 at the
+    smallest column of every component of the nonzero pattern."""
+
+    def test_reference_pair(self, gf4):
+        a = build_circulant(gf4, (1, 0x03))
+        assert detect_semi_involutory(a) == DiagonalPair((0x02, 0x02), (1, 1), scalar1=0x03, scalar2=1)
+
+    @pytest.mark.parametrize("field", ["gf4", "gf16"])
+    def test_d2_is_one_at_every_component_anchor(self, request, field):
+        ctx = request.getfixturevalue(field)
+        rng = random.Random(49)
+        for _ in range(5):
+            for name, a, semi_involutory in pattern_cases(rng, ctx):
+                anchors = component_anchors(a)
+                inverse = a.inverse()
+                detected = [
+                    (detect_semi_involutory(a), inverse, semi_involutory),
+                    (detect_semi_orthogonal(a), inverse.transpose(), True),
+                ]
+                for pair, b, expected in detected:
+                    assert (pair is not None) == expected, (name, a.entries)
+                    if pair is None:
+                        continue
+                    assert all(pair.d2[j] == 1 for j in anchors), (name, a.entries, pair)
+                    for i in range(a.rows):
+                        for j in range(a.cols):
+                            assert ctx.mul(pair.d1[i], ctx.mul(a[i, j], pair.d2[j])) == b[i, j]
+
+    def test_component_anchors_oracle(self, gf16):
+        assert component_anchors(Matrix(gf16, [[2, 0], [0, 3]])) == [0, 1]
+        assert component_anchors(Matrix(gf16, [[2, 1], [1, 3]])) == [0]
+        a = Matrix(gf16, [[0, 1, 0, 2], [3, 0, 1, 0], [0, 4, 0, 5], [6, 0, 7, 0]])
+        assert component_anchors(a) == [0, 1]
+
+
+class TestScalingFreedom:
+    def test_rescale_round_trips(self, gf16):
         rng = random.Random(46)
         checked = 0
         for _ in range(300):
@@ -285,8 +381,7 @@ class TestScalingFreedom:
             lam = rng.randrange(2, gf16.q)
             moved = rescale_pair(gf16, pair, lam, 3)
             assert moved != pair
-            comps = ratio_components(a)
-            assert scaling_freedom_normalize(gf16, moved, comps) == pair
+            assert rescale_pair(gf16, moved, gf16.inv(lam), 3) == pair
         assert checked > 0
 
     def test_rescaled_pair_still_witnesses(self, gf4):
@@ -304,13 +399,6 @@ class TestScalingFreedom:
         pair = detect_semi_orthogonal(build_circulant(ctx11d, row))
         assert pair.d1 == (0x98, 0x93, 0x45, 0x99, 0xD7)
         assert pair.d2 == (0x01, 0x92, 0x0A, 0xDD, 0x44)
-
-    def test_components_of_diagonal_matrix(self, gf16):
-        a = Matrix(gf16, [[2, 0], [0, 3]])
-        comps = ratio_components(a)
-        assert comps == [((0,), (0,)), ((1,), (1,))]
-        a_full = Matrix(gf16, [[2, 1], [1, 3]])
-        assert ratio_components(a_full) == [((0, 1), (0, 1))]
 
 
 class TestScalarLawAllGCirculants:
@@ -386,15 +474,13 @@ class TestLeftCirculantConditions:
             assert left_circulant_involutory_conditions(gf4, row) == want
 
     def test_sampled_equivalence_k5(self, gf16):
-        # 16^5 rows is past unit-test scale; sample instead and make sure
-        # both involutory and non-involutory rows are exercised
-        from itertools import islice
-
-        from gcirc import constrained_left_circulant_rows
-
+        # 16^5 rows is past unit-test scale; sample instead, and take 50
+        # involutory rows from the constrained search's first hits so
+        # both kinds are exercised
         rng = random.Random(48)
         sampled = [random_row(rng, gf16, 5) for _ in range(2000)]
-        sampled += list(islice(constrained_left_circulant_rows(gf16, 5), 50))
+        job = SearchJob(gf16, 5, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT))
+        sampled += [res.spec.row for res in islice(run_search(job), 50)]
         hits = 0
         for row in sampled:
             want = is_involutory(build_left_circulant(gf16, row))

@@ -1,5 +1,5 @@
 """Search harness: soundness, completeness, determinism, resume and
-partition equality, constrained row streams, and guards."""
+partition equality, constrained rows, and guards."""
 
 import json
 from collections import Counter
@@ -21,7 +21,6 @@ from gcirc import (
     Target,
     build_g_circulant,
     build_left_circulant,
-    constrained_left_circulant_rows,
     full_report,
     is_involutory,
     job_partition,
@@ -29,6 +28,7 @@ from gcirc import (
     target_satisfied,
 )
 from gcirc.jsonio import job_from_json, job_to_json, result_to_json
+from gcirc.search import job_part
 from conftest import diagonal, elimination_mds, sandwich_pair_exists, schoolbook_pow
 
 # every candidate of the three exhaustive spaces; the GF(2^4), k = 3
@@ -345,6 +345,19 @@ class TestResumePartition:
         merged = [r for p in job_partition(job, 8) for r in run_search(p)]
         assert merged == whole
 
+    def test_part_alone_matches_partition(self, gf16):
+        job = exhaustive_job(gf16, 2, Target.MDS_ONLY, resume_token=5, stop_token=250)
+        for n in (1, 3, 8, 300):
+            assert [job_part(job, i, n) for i in range(n)] == job_partition(job, n)
+        for index in (-1, 3):
+            with pytest.raises(ConfigError):
+                job_part(job, index, 3)
+
+    def test_part_of_a_huge_partition(self, gf16):
+        job = SearchJob(gf16, 2, Target.MDS_ONLY, RowSpace(RowSpaceKind.RANDOM, count=2 * 10**12))
+        assert job_part(job, 1, 10**12).window() == (2, 4)
+        assert job_part(job, 10**12 - 1, 10**12).window() == (2 * 10**12 - 2, 2 * 10**12)
+
     def test_bad_tokens(self, gf4):
         with pytest.raises(ResumeTokenError):
             collect(exhaustive_job(gf4, 2, Target.MDS_ONLY, resume_token=17))
@@ -354,26 +367,57 @@ class TestResumePartition:
             collect(exhaustive_job(gf4, 2, Target.MDS_ONLY, stop_token=100))
 
 
+def constrained_job(ctx, k, target, **kw):
+    return SearchJob(ctx, k, target, RowSpace(RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT), **kw)
+
+
+@pytest.fixture()
+def squared(monkeypatch):
+    """(row, verdict) for every square_is_identity call run_search makes, in order."""
+    calls = []
+    original = search_mod.square_is_identity
+
+    def record(spec):
+        verdict = original(spec)
+        calls.append((spec.row, verdict))
+        return verdict
+
+    monkeypatch.setattr(search_mod, "square_is_identity", record)
+    return calls
+
+
 class TestConstrainedRows:
-    def test_k2_rows_follow_linear_condition(self, gf16):
-        rows = list(constrained_left_circulant_rows(gf16, 2))
-        assert len(rows) == 16  # no quadratic conditions at k = 2
-        for c0, c1 in rows:
+    """row_at forces c_0 = 1 + the sum of the rest; run_search keeps the
+    rows whose left-circulant squares to I as the row space's members."""
+
+    def test_k2_rows_follow_linear_condition(self, gf16, squared):
+        collect(constrained_job(gf16, 2, Target.MDS_ONLY, pruning=False))
+        assert len({row for row, _ in squared}) == len(squared) == 16
+        for (c0, c1), member in squared:
             assert c0 == 1 ^ c1
+            assert member  # no quadratic conditions at k = 2
 
-    def test_k3_survivors_are_involutory(self, gf4):
-        rows = list(constrained_left_circulant_rows(gf4, 3))
-        assert rows
-        for row in rows:
-            assert is_involutory(build_left_circulant(gf4, row))
+    @pytest.mark.parametrize("field", ["gf4", "gf16"])
+    def test_k3_members_are_the_involutory_rows(self, request, squared, field):
+        ctx = request.getfixturevalue(field)
+        collect(constrained_job(ctx, 3, Target.MDS_ONLY, pruning=False))
+        members = [row for row, member in squared if member]
+        expected = [
+            row
+            for row in product(range(ctx.q), repeat=3)
+            if is_involutory(build_left_circulant(ctx, row))
+        ]
+        assert members and sorted(members) == expected
 
-    def test_k3_count_matches_unconstrained_scan(self, gf4):
-        expected = sum(
-            1
-            for row in product(range(4), repeat=3)
-            if is_involutory(build_left_circulant(gf4, row))
-        )
-        assert len(list(constrained_left_circulant_rows(gf4, 3))) == expected
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_each_row_squared_once(self, gf16, squared, k, pruning):
+        job = constrained_job(gf16, k, Target.INVOLUTORY_MDS, pruning=pruning)
+        hits = collect(job)
+        assert len(hits) == {3: 12, 4: 0}[k]
+        rows = [row for row, _ in squared]
+        assert sorted(rows) == sorted(job.row_at(k - 1, o) for o in range(job.per_g_size()))
+        assert set(Counter(rows).values()) == {1}
 
     def test_search_agrees_with_plain_exhaustive(self, gf16):
         job = SearchJob(
@@ -390,11 +434,14 @@ class TestConstrainedRows:
         for res in run_search(job):
             assert res.report.involutory and res.report.mds
 
-    def test_gf256_stream_contains_reference_row(self, ctx165):
-        # tail (a, ..., a+a^3) sits at numeral 0x02B3BB0A; the row passes the
-        # involutory conditions, so it is the first survivor from that token
-        row = next(constrained_left_circulant_rows(ctx165, 5, start=0x02B3BB0A))
-        assert row == (0x01, 0x02, 0xB3, 0xBB, 0x0A)
+    def test_gf256_reference_row_at_its_token(self, ctx165):
+        # tail (a, ..., a+a^3) sits at numeral 0x02B3BB0A, and the row is
+        # an involutory MDS left-circulant
+        token = 0x02B3BB0A
+        job = constrained_job(ctx165, 5, Target.INVOLUTORY_MDS, resume_token=token, stop_token=token + 1)
+        assert [(r.token, r.spec.g, r.spec.row) for r in run_search(job)] == [
+            (token, 4, (0x01, 0x02, 0xB3, 0xBB, 0x0A))
+        ]
 
     def test_wrong_g_set_rejected(self, gf16):
         with pytest.raises(ConfigError):
