@@ -64,7 +64,6 @@ from .search import (
     SearchJob,
     SearchResult,
     Target,
-    job_partition,
     run_search,
     target_satisfied,
 )

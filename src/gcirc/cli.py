@@ -50,6 +50,13 @@ def _common_options(parser: argparse.ArgumentParser, root: bool) -> None:
     parser.add_argument("-v", "--verbose", action="store_true", default=dflt(False))
 
 
+def _spec_options(parser: argparse.ArgumentParser, required: bool) -> None:
+    """--k/--g/--row, the g-circulant spec of build, check and square."""
+    parser.add_argument("--k", type=int, required=required)
+    parser.add_argument("--g", type=int, required=required)
+    parser.add_argument("--row", nargs="+", required=required, metavar="ELEM")
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The whole parser, built on the first `main` call and reused by every
@@ -66,21 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
         _common_options(p, root=False)
         return p
 
-    p_build = add_parser("build", help="construct a g-circulant matrix")
-    p_build.add_argument("--k", type=int, required=True)
-    p_build.add_argument("--g", type=int, required=True)
-    p_build.add_argument("--row", nargs="+", required=True, metavar="ELEM")
+    _spec_options(add_parser("build", help="construct a g-circulant matrix"), required=True)
 
     p_check = add_parser("check", help="run all five property checks")
     p_check.add_argument("input", nargs="?", help="matrix or spec JSON file")
-    p_check.add_argument("--k", type=int)
-    p_check.add_argument("--g", type=int)
-    p_check.add_argument("--row", nargs="+", metavar="ELEM")
+    _spec_options(p_check, required=False)
 
-    p_square = add_parser("square", help="structured square of a g-circulant spec")
-    p_square.add_argument("--k", type=int, required=True)
-    p_square.add_argument("--g", type=int, required=True)
-    p_square.add_argument("--row", nargs="+", required=True, metavar="ELEM")
+    _spec_options(add_parser("square", help="structured square of a g-circulant spec"), required=True)
 
     p_sqrt1 = add_parser("sqrt1", help="solutions of x^2 = 1 (mod k)")
     p_sqrt1.add_argument("k", type=int)
@@ -121,6 +120,11 @@ def _parse_row(ctx: GF2m, literals) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _spec_from_args(args) -> GCirculantSpec:
+    ctx = _require_field(args)
+    return GCirculantSpec(ctx, args.k, args.g, _parse_row(ctx, args.row))
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload))
@@ -130,11 +134,9 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _cmd_build(args) -> int:
-    ctx = _require_field(args)
-    spec = GCirculantSpec(ctx, args.k, args.g, _parse_row(ctx, args.row))
-    a = build_g_circulant(spec)
+    a = build_g_circulant(_spec_from_args(args))
     payload = jsonio.matrix_to_json(a)
-    _emit(args, payload, (" ".join(ctx.format_hex(e) for e in row) for row in a.entries))
+    _emit(args, payload, (" ".join(a.ctx.format_hex(e) for e in row) for row in a.entries))
     return EXIT_OK
 
 
@@ -163,8 +165,7 @@ def _load_check_input(args) -> Matrix:
         return build_g_circulant(spec)
     if args.k is None or args.g is None or args.row is None:
         raise SystemExit(_usage_error("check needs an input file or --k/--g/--row"))
-    ctx = _require_field(args)
-    return build_g_circulant(GCirculantSpec(ctx, args.k, args.g, _parse_row(ctx, args.row)))
+    return build_g_circulant(_spec_from_args(args))
 
 
 def _cmd_check(args) -> int:
@@ -183,8 +184,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_square(args) -> int:
-    ctx = _require_field(args)
-    spec = GCirculantSpec(ctx, args.k, args.g, _parse_row(ctx, args.row))
+    spec = _spec_from_args(args)
+    ctx = spec.ctx
     g2, row2 = square_structured(spec)
     a = build_g_circulant(spec)
     verified = build_g_circulant(GCirculantSpec(ctx, spec.k, g2, row2)) == a @ a

@@ -6,16 +6,16 @@ and involutory, orthogonal and both detections share one inverse.
 A matrix A is semi-involutory when D1 * A * D2 = A^{-1} for some
 nonsingular diagonal matrices, and semi-orthogonal when
 D1 * A * D2 = (A^{-1})^T. Witness pairs are only determined up to the
-scaling family (lam*D1, lam^{-1}*D2) per connected component of the
-ratio graph; detection returns the representative with d2 = 1 at the
-smallest column node of each component.
+scaling family (lam*D1, lam^{-1}*D2) per connected component of A's
+nonzero pattern (rows and columns joined by nonzero entries); detection
+spreads values from d2 = 1 at the smallest column of each component and
+then checks the identity once.
 """
 
 from __future__ import annotations
 
 import warnings
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
@@ -89,11 +89,11 @@ class PropertyReport:
 
     @cached_property
     def semi_involutory(self) -> DiagonalPair | None:
-        return None if self._inverse is None else _detect(self.matrix, self._inverse)
+        return None if self._inverse is None else _solve_diagonal_sandwich(self.matrix, self._inverse)
 
     @cached_property
     def semi_orthogonal(self) -> DiagonalPair | None:
-        return None if self._inverse_t is None else _detect(self.matrix, self._inverse_t)
+        return None if self._inverse_t is None else _solve_diagonal_sandwich(self.matrix, self._inverse_t)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.FIELDS)
@@ -175,66 +175,45 @@ def is_involutory(a: Matrix) -> bool:
     return True
 
 
-def _solve_diagonal_sandwich(a: Matrix, b: Matrix):
-    """Diagonals (d1, d2) with d1[i]*A[i,j]*d2[j] = B[i,j] for all i, j.
+def _solve_diagonal_sandwich(a: Matrix, b: Matrix) -> DiagonalPair | None:
+    """The anchored pair with d1[i]*A[i,j]*d2[j] = B[i,j] for all i, j,
+    or None when no pair exists.
 
-    The constraint is a multiplicative rank-1 condition on the nonzero
-    pattern: propagate values over the ratio graph from a d2 = 1 anchor
-    at the smallest column of each component, reject on inconsistent
-    back edges, then re-verify the full identity. Returns None when no
-    pair exists.
+    Each column not yet reached, smallest first, anchors a component with
+    d2 = 1; values spread along A's nonzero entries, d1[i] = B[i,j] /
+    (A[i,j]*d2[j]) and d2[j] = B[i,j] / (A[i,j]*d1[i]), with 0 marking an
+    unreached node. A zero B entry on a spreading edge or a row of A that
+    stays unreached has no pair; one check of the identity over all k^2
+    entries then decides every other mismatch and inconsistent back edge.
     """
     ctx, k = a.ctx, a.rows
+    mul, inv = ctx.mul, ctx.inv
     ae, be = a.entries, b.entries
-    for i in range(k):
-        for j in range(k):
-            if (ae[i][j] == 0) != (be[i][j] == 0):
-                return None
-    ratio = [
-        [ctx.mul(be[i][j], ctx.inv(ae[i][j])) if ae[i][j] else 0 for j in range(k)]
-        for i in range(k)
-    ]
-    d1: list[int | None] = [None] * k
-    d2: list[int | None] = [None] * k
+    d1, d2 = [0] * k, [0] * k
     for anchor in range(k):
-        if d2[anchor] is not None:
+        if d2[anchor]:
             continue
-        d2[anchor] = 1
-        queue = deque([("c", anchor)])
-        while queue:
-            kind, node = queue.popleft()
-            if kind == "c":
-                for i in range(k):
-                    if ratio[i][node]:
-                        val = ctx.mul(ratio[i][node], ctx.inv(d2[node]))
-                        if d1[i] is None:
-                            d1[i] = val
-                            queue.append(("r", i))
-                        elif d1[i] != val:
-                            return None
-            else:
-                for j in range(k):
-                    if ratio[node][j]:
-                        val = ctx.mul(ratio[node][j], ctx.inv(d1[node]))
-                        if d2[j] is None:
-                            d2[j] = val
-                            queue.append(("c", j))
-                        elif d2[j] != val:
-                            return None
-    if None in d1 or None in d2:
-        return None  # isolated node: a zero row or column
-    for i in range(k):
-        for j in range(k):
-            if ae[i][j] and ctx.mul(d1[i], ctx.mul(ae[i][j], d2[j])) != be[i][j]:
-                return None
-    return tuple(d1), tuple(d2)
-
-
-def _detect(a: Matrix, b: Matrix) -> DiagonalPair | None:
-    sol = _solve_diagonal_sandwich(a, b)
-    if sol is None:
+        d2[anchor], reached = 1, [anchor]
+        while reached:
+            j = reached.pop()
+            for i in range(k):
+                if ae[i][j] and not d1[i]:
+                    if not be[i][j]:
+                        return None
+                    di = d1[i] = mul(be[i][j], inv(mul(ae[i][j], d2[j])))
+                    for t, (x, y) in enumerate(zip(ae[i], be[i])):
+                        if x and not d2[t]:
+                            if not y:
+                                return None
+                            d2[t] = mul(y, inv(mul(x, di)))
+                            reached.append(t)
+    if 0 in d1:
         return None
-    return _scaled_pair(a.ctx, *sol, a.rows)
+    for x, arow, brow in zip(d1, ae, be):
+        for y, z, w in zip(arow, d2, brow):
+            if mul(mul(x, y), z) != w:
+                return None
+    return _scaled_pair(ctx, d1, d2, k)
 
 
 def detect_semi_involutory(a: Matrix) -> DiagonalPair | None:
@@ -242,12 +221,12 @@ def detect_semi_involutory(a: Matrix) -> DiagonalPair | None:
 
     Raises SingularMatrixError when A has no inverse at all.
     """
-    return _detect(a, a.inverse())
+    return _solve_diagonal_sandwich(a, a.inverse())
 
 
 def detect_semi_orthogonal(a: Matrix) -> DiagonalPair | None:
     """Anchored (D1, D2) with D1 A D2 = (A^{-1})^T, or None."""
-    return _detect(a, a.inverse().transpose())
+    return _solve_diagonal_sandwich(a, a.inverse().transpose())
 
 
 def diagonal_power_scalar(ctx: GF2m, d, k: int) -> int | None:

@@ -195,8 +195,8 @@ def _g_pruned(job: SearchJob, g: int) -> bool:
 
 def _row_pruned(job: SearchJob, spec: GCirculantSpec) -> bool:
     """True when an exact theorem filter rules out the row of a g that passed
-    _g_pruned. A constrained row is not squared again: run_search already
-    decided A^2 = I for it as its membership check."""
+    _g_pruned. A constrained row is not squared here: run_search squares
+    the rows that pass as its membership check."""
     if 0 in spec.row:
         return True  # MDS needs every entry nonzero
     return (
@@ -213,7 +213,8 @@ def run_search(
 
     Results come out in ascending (g, ordinal) order. With pruning on,
     _g_pruned drops whole g blocks before their rows are built, then
-    _row_pruned drops rows; every other candidate, and every candidate
+    _row_pruned drops rows, before a constrained row is squared to decide
+    its membership; every other candidate, and every candidate
     without pruning, is decided by target_satisfied on one full_report,
     which the hit carries. debug_recheck samples that fraction of the
     pruned candidates and asserts that the full report rejects them too.
@@ -236,11 +237,13 @@ def run_search(
         recheck = job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck
         # a pruned g block builds rows only for the tokens debug_recheck samples
         spec = None if g_pruned[gi] and not recheck else GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal))
-        if spec is None or constrained and not square_is_identity(spec):
-            pass  # pruned with its g block, or outside the constrained row space
+        if spec is None:
+            pass  # pruned with its g block
         elif job.pruning and (g_pruned[gi] or _row_pruned(job, spec)):
             if recheck and target_satisfied(full_report(build_g_circulant(spec)), job.target):
                 raise AssertionError(f"pruning dropped a qualifying candidate: {spec}")
+        elif constrained and not square_is_identity(spec):
+            pass  # outside the constrained row space
         else:
             report = full_report(build_g_circulant(spec))
             if target_satisfied(report, job.target):
@@ -250,8 +253,9 @@ def run_search(
 
 
 def job_part(job: SearchJob, index: int, n_parts: int) -> SearchJob:
-    """Sub-job index (0-based) of job_partition(job, n_parts), built
-    without the other n_parts - 1."""
+    """Sub-job index (0-based) of the job's token window split into
+    n_parts contiguous sub-jobs. Concatenating the outputs of parts
+    0..n_parts - 1 in order reproduces the single-job output exactly."""
     if not 0 <= index < n_parts:
         raise ConfigError(f"part index {index} outside 0..{n_parts - 1}")
     start, stop = job.window()
@@ -261,14 +265,3 @@ def job_part(job: SearchJob, index: int, n_parts: int) -> SearchJob:
         resume_token=start + span * index // n_parts,
         stop_token=start + span * (index + 1) // n_parts,
     )
-
-
-def job_partition(job: SearchJob, n_parts: int) -> list[SearchJob]:
-    """Split the token window into n contiguous sub-jobs.
-
-    Concatenating the sub-jobs' outputs in order reproduces the
-    single-job output exactly.
-    """
-    if n_parts < 1:
-        raise ConfigError("need at least one part")
-    return [job_part(job, i, n_parts) for i in range(n_parts)]

@@ -1,7 +1,7 @@
 """Property checks: MDS, involutory, orthogonal, semi-involutory,
 semi-orthogonal, the anchoring of detected pairs and their scaling
-freedom, and the first-row involutory conditions for left-circulant
-matrices."""
+freedom, detection against planted pairs, and the first-row involutory
+conditions for left-circulant matrices."""
 
 import random
 import warnings
@@ -38,7 +38,14 @@ from gcirc import (
     run_search,
     shifted_convolution,
 )
-from conftest import brute_force_sandwich_pairs, elimination_mds, laplace_det, random_row
+from conftest import (
+    brute_force_sandwich_pairs,
+    elimination_mds,
+    laplace_det,
+    random_row,
+    schoolbook_mul,
+    schoolbook_pow,
+)
 
 PAPER_ROW_STRS = ("1", "a", "1+a+a^4+a^5+a^7", "1+a+a^3+a^4+a^5+a^7", "a+a^3")
 
@@ -366,6 +373,125 @@ class TestAnchoring:
         assert component_anchors(a) == [0, 1]
 
 
+def planted_patterns(rng, ctx, k):
+    """(name, A) for zero patterns of order k >= 2 without a zero row:
+    dense, and dense blocks of a random composition of k into two or more
+    sizes, placed along the diagonal, interleaved (rows and columns
+    relabelled by one permutation) and permuted (by two)."""
+    cuts = sorted(rng.sample(range(1, k), rng.randint(1, k - 1)))
+    sizes = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, k])]
+
+    def place(row_perm, col_perm):
+        entries = [[0] * k for _ in range(k)]
+        at = 0
+        for size in sizes:
+            for i in range(at, at + size):
+                for j in range(at, at + size):
+                    entries[row_perm[i]][col_perm[j]] = rng.randrange(1, ctx.q)
+            at += size
+        return Matrix(ctx, entries)
+
+    identity = list(range(k))
+    perm = rng.sample(identity, k)
+    yield "dense", Matrix(ctx, [random_row(rng, ctx, k, nonzero=True) for _ in range(k)])
+    yield "block-diagonal", place(identity, identity)
+    yield "interleaved", place(perm, perm)
+    yield "permuted", place(perm, rng.sample(identity, k))
+
+
+def plant(a, d1, d2):
+    """D1 * A * D2 by schoolbook products."""
+    ctx = a.ctx
+    return Matrix(ctx, [
+        [schoolbook_mul(ctx, x, schoolbook_mul(ctx, a[i, j], y)) for j, y in enumerate(d2)]
+        for i, x in enumerate(d1)
+    ])
+
+
+def anchored_plant(a, d1, d2) -> DiagonalPair:
+    """The planted pair moved along its scaling family to the anchoring:
+    on each component of A's pattern (rows and columns joined by
+    union-find over the nonzero entries), d2 divided and d1 multiplied
+    by d2's value at the component's smallest column."""
+    ctx, k = a.ctx, a.rows
+    parent = list(range(2 * k))  # rows 0..k-1, columns k..2k-1
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(k):
+        for j in range(k):
+            if a[i, j]:
+                parent[root(i)] = root(k + j)
+    lam = {}
+    for j in range(k):
+        lam.setdefault(root(k + j), d2[j])
+    inverse = {r: schoolbook_pow(ctx, x, ctx.q - 2) for r, x in lam.items()}
+    e1 = tuple(schoolbook_mul(ctx, x, lam[root(i)]) for i, x in enumerate(d1))
+    e2 = tuple(schoolbook_mul(ctx, x, inverse[root(k + j)]) for j, x in enumerate(d2))
+
+    def scalar(d):
+        powers = {schoolbook_pow(ctx, x, k) for x in d}
+        return powers.pop() if len(powers) == 1 else None
+
+    return DiagonalPair(e1, e2, scalar(e1), scalar(e2))
+
+
+def perturbed(rng, a, b):
+    """B with one entry changed, in each way that leaves no pair: a
+    nonzero where A has a zero, and a new value where A's row has another
+    nonzero. Every component is a dense block, so such an entry lies on a
+    4-cycle and the rest of its block already fixes its ratio."""
+    ctx, k = a.ctx, a.rows
+    cells = [(i, j) for i in range(k) for j in range(k)]
+    zeros = [(i, j) for i, j in cells if not a[i, j]]
+    cycled = [(i, j) for i, j in cells if a[i, j] and sum(map(bool, a.entries[i])) > 1]
+    for choices in (zeros, cycled):
+        if choices:
+            i, j = rng.choice(choices)
+            entries = [list(r) for r in b.entries]
+            entries[i][j] ^= rng.randrange(1, ctx.q)
+            yield Matrix(ctx, entries)
+
+
+class TestDetectionDifferential:
+    """The solver on planted B = D1*A*D2 against the planted pair moved to
+    the anchoring independently, and against None once B is perturbed."""
+
+    @pytest.mark.parametrize("m, modulus", [(2, 0x7), (4, 0x13), (8, 0x11D), (16, 0x1002B)])
+    def test_planted_pairs(self, m, modulus):
+        ctx = GF2m(m, modulus)
+        rng = random.Random(m)
+        for k in range(2, 9):
+            for _ in range(3):
+                for name, a in planted_patterns(rng, ctx, k):
+                    d1, d2 = random_row(rng, ctx, k, nonzero=True), random_row(rng, ctx, k, nonzero=True)
+                    b = plant(a, d1, d2)
+                    expected = anchored_plant(a, d1, d2)
+                    assert properties_mod._solve_diagonal_sandwich(a, b) == expected, (name, a.entries, d1, d2)
+                    for changed in perturbed(rng, a, b):
+                        assert properties_mod._solve_diagonal_sandwich(a, changed) is None, (name, changed.entries)
+                    hollow = Matrix(ctx, [[0] * k, *a.entries[1:]])  # d1[0] is left free: no pair
+                    assert properties_mod._solve_diagonal_sandwich(hollow, plant(hollow, d1, d2)) is None
+
+    def test_brute_force_gf4_k3(self, gf4):
+        rng = random.Random(43)
+        for _ in range(4):
+            for name, a in planted_patterns(rng, gf4, 3):
+                b = plant(a, random_row(rng, gf4, 3, nonzero=True), random_row(rng, gf4, 3, nonzero=True))
+                anchors = component_anchors(a)
+                for target in (b, *perturbed(rng, a, b)):
+                    pair = properties_mod._solve_diagonal_sandwich(a, target)
+                    anchored = [
+                        (d1, d2) for d1, d2 in brute_force_sandwich_pairs(a, target)
+                        if all(d2[j] == 1 for j in anchors)
+                    ]
+                    assert anchored == ([] if pair is None else [(pair.d1, pair.d2)]), (name, target.entries)
+                    assert (target is b) == (pair is not None)
+
+
 class TestScalingFreedom:
     def test_rescale_round_trips(self, gf16):
         rng = random.Random(46)
@@ -536,7 +662,8 @@ class TestFullReport:
 
         monkeypatch.setattr(properties_mod, "is_mds", counted("is_mds", properties_mod.is_mds))
         monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
-        monkeypatch.setattr(properties_mod, "_detect", counted("detect", properties_mod._detect))
+        solve = properties_mod._solve_diagonal_sandwich
+        monkeypatch.setattr(properties_mod, "_solve_diagonal_sandwich", counted("detect", solve))
         a = build_circulant(gf16, (1, 2, 4))
         rep = full_report(a)
         assert calls == []

@@ -23,7 +23,6 @@ from gcirc import (
     build_left_circulant,
     full_report,
     is_involutory,
-    job_partition,
     run_search,
     target_satisfied,
 )
@@ -238,7 +237,8 @@ class TestOneEvaluationPerCandidate:
         monkeypatch.setattr(search_mod, "build_g_circulant", counted("build", build_g_circulant))
         monkeypatch.setattr(properties_mod, "is_mds", counted("is_mds", properties_mod.is_mds))
         monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
-        monkeypatch.setattr(properties_mod, "_detect", counted("detect", properties_mod._detect))
+        solve = properties_mod._solve_diagonal_sandwich
+        monkeypatch.setattr(properties_mod, "_solve_diagonal_sandwich", counted("detect", solve))
         job = exhaustive_job(ctx, k, target)
         results = collect(job)
         for res in results:
@@ -326,7 +326,7 @@ class TestResumePartition:
         job = exhaustive_job(gf16, 2, Target.MDS_ONLY)
         whole = collect(job)
         for n in (1, 2, 8):
-            parts = job_partition(job, n)
+            parts = [job_part(job, i, n) for i in range(n)]
             assert parts[0].window()[0] == 0
             assert parts[-1].window()[1] == job.total_candidates()
             for left, right in zip(parts, parts[1:]):
@@ -342,13 +342,15 @@ class TestResumePartition:
             RowSpace(RowSpaceKind.RANDOM, count=400, seed=3),
         )
         whole = collect(job)
-        merged = [r for p in job_partition(job, 8) for r in run_search(p)]
+        merged = [r for i in range(8) for r in run_search(job_part(job, i, 8))]
         assert merged == whole
 
     def test_part_alone_matches_partition(self, gf16):
         job = exhaustive_job(gf16, 2, Target.MDS_ONLY, resume_token=5, stop_token=250)
         for n in (1, 3, 8, 300):
-            assert [job_part(job, i, n) for i in range(n)] == job_partition(job, n)
+            windows = [job_part(job, i, n).window() for i in range(n)]
+            assert windows[0][0] == 5 and windows[-1][1] == 250
+            assert all(left[1] == right[0] for left, right in zip(windows, windows[1:]))
         for index in (-1, 3):
             with pytest.raises(ConfigError):
                 job_part(job, index, 3)
@@ -416,7 +418,10 @@ class TestConstrainedRows:
         hits = collect(job)
         assert len(hits) == {3: 12, 4: 0}[k]
         rows = [row for row, _ in squared]
-        assert sorted(rows) == sorted(job.row_at(k - 1, o) for o in range(job.per_g_size()))
+        expected = [job.row_at(k - 1, o) for o in range(job.per_g_size())]
+        if pruning:  # a row with a zero entry is pruned before it is squared
+            expected = [row for row in expected if 0 not in row]
+        assert sorted(rows) == sorted(expected)
         assert set(Counter(rows).values()) == {1}
 
     def test_search_agrees_with_plain_exhaustive(self, gf16):
