@@ -26,7 +26,7 @@ from functools import cache
 
 from .errors import DimensionError, NotCoprimeError, NotKCycleError
 from .field import GF2m
-from .matrix import Matrix, Permutation
+from .matrix import MAX_DIM, Matrix, Permutation
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,8 @@ class CyclicSpec:
     row: tuple[int, ...]
 
     def __post_init__(self):
+        if self.k < 1:
+            raise DimensionError(f"order must be >= 1, got {self.k}")
         object.__setattr__(self, "row", tuple(self.row))
         if self.rho.size != self.k or len(self.row) != self.k:
             raise DimensionError("rho and row must both have size k")
@@ -80,6 +82,8 @@ class CyclicSpec:
 def build_g_circulant(spec: GCirculantSpec) -> Matrix:
     """Entry law A[i,j] = c_{(j - i*g) mod k}; row 0 is the given row."""
     k, g, row = spec.k, spec.g, spec.row
+    if k > MAX_DIM:  # Matrix's cap, checked before the k^2 entries are built
+        raise DimensionError(f"dimensions capped at {MAX_DIM}")
     return Matrix(spec.ctx, [[row[(j - i * g) % k] for j in range(k)] for i in range(k)])
 
 
@@ -95,6 +99,8 @@ def build_left_circulant(ctx: GF2m, row) -> Matrix:
 def build_cyclic(spec: CyclicSpec) -> Matrix:
     """Entry law C[i,j] = c_{rho^{-i}(j)}."""
     k = spec.k
+    if k > MAX_DIM:
+        raise DimensionError(f"dimensions capped at {MAX_DIM}")
     rho_inv = spec.rho.inverse()
     out = []
     index = list(range(k))  # rho^{-i} applied to each column index

@@ -3,6 +3,10 @@
 JSON goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 a checked assertion failed, 2 usage or configuration error,
 3 resource guard tripped.
+
+Files and `--row` elements are read by `jsonio`. A command fails by
+raising (a usage error is a ConfigError), and `main` alone turns the
+exception into an `error:` line and an exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import lru_cache
 
 from . import catalog, jsonio
 from .circulant import CyclicSpec, GCirculantSpec, build_cyclic, build_g_circulant, square_structured
-from .errors import GcircError, ParseError, SpaceTooLargeError
+from .errors import ConfigError, GcircError, ParseError, SpaceTooLargeError
 from .field import GF2m
 from .matrix import Matrix
 from .modular import sqrt_one_solutions
@@ -97,32 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_field(args) -> GF2m:
-    if args.field_m is None or args.field_poly is None:
-        raise SystemExit(
-            _usage_error("--field-m and --field-poly are required for this command")
-        )
-    return GF2m(args.field_m, args.field_poly)
-
-
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _parse_row(ctx: GF2m, literals) -> tuple[int, ...]:
-    row = []
-    for pos, lit in enumerate(literals):
-        try:
-            row.append(ctx.parse(lit))
-        except GcircError as exc:
-            raise type(exc)(f"row element {pos}: {exc}") from None
-    return tuple(row)
-
-
 def _spec_from_args(args) -> GCirculantSpec:
-    ctx = _require_field(args)
-    return GCirculantSpec(ctx, args.k, args.g, _parse_row(ctx, args.row))
+    if args.field_m is None or args.field_poly is None:
+        raise ConfigError("--field-m and --field-poly are required for this command")
+    ctx = GF2m(args.field_m, args.field_poly)
+    return GCirculantSpec(ctx, args.k, args.g, jsonio.elements(ctx, args.row, "row"))
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -160,11 +143,9 @@ def _load_check_input(args) -> Matrix:
         if "entries" in obj:
             return jsonio.matrix_from_json(obj)
         spec = jsonio.spec_from_json(obj)
-        if isinstance(spec, CyclicSpec):
-            return build_cyclic(spec)
-        return build_g_circulant(spec)
+        return build_cyclic(spec) if isinstance(spec, CyclicSpec) else build_g_circulant(spec)
     if args.k is None or args.g is None or args.row is None:
-        raise SystemExit(_usage_error("check needs an input file or --k/--g/--row"))
+        raise ConfigError("check needs an input file or --k/--g/--row")
     return build_g_circulant(_spec_from_args(args))
 
 
@@ -186,8 +167,8 @@ def _cmd_check(args) -> int:
 def _cmd_square(args) -> int:
     spec = _spec_from_args(args)
     ctx = spec.ctx
+    a = build_g_circulant(spec)  # refuses an oversized order before the O(k^2) square
     g2, row2 = square_structured(spec)
-    a = build_g_circulant(spec)
     verified = build_g_circulant(GCirculantSpec(ctx, spec.k, g2, row2)) == a @ a
     payload = {
         "g2": g2,
@@ -228,9 +209,9 @@ def _cmd_search(args) -> int:
         try:
             part, total = (int(x) for x in args.partition.split("/"))
         except ValueError:
-            return _usage_error(f"--partition expects I/N, got {args.partition!r}")
+            raise ConfigError(f"--partition expects I/N, got {args.partition!r}") from None
         if not 1 <= part <= total:
-            return _usage_error(f"partition index {part} outside 1..{total}")
+            raise ConfigError(f"partition index {part} outside 1..{total}")
         job = job_part(job, part - 1, total)
 
     started = time.monotonic()
@@ -273,9 +254,7 @@ def _cmd_repro(args) -> int:
     ids = list(catalog.CASES) if args.example == "all" else [args.example]
     for case_id in ids:
         if case_id not in catalog.CASES:
-            return _usage_error(
-                f"unknown example {case_id!r}; choose from {', '.join(catalog.CASES)}"
-            )
+            raise ConfigError(f"unknown example {case_id!r}; choose from {', '.join(catalog.CASES)}")
     all_passed = True
     outputs = []
     for case_id in ids:
@@ -316,9 +295,6 @@ def main(argv=None) -> int:
     except (GcircError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ m = 16, where int lists would take 5.75 MB). A context fetches them on
 its first arithmetic call from a process-wide cache keyed by
 (m, modulus), so construction stays cheap and each field's tables are
 built once; fetching is idempotent, so contexts stay safe to share
-across threads. Schoolbook multiplication only builds them.
+across threads. Schoolbook multiplication only builds them. Field
+blocks and element lists from outside are read by `gcirc.jsonio`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import BadDegreeError, OutOfRangeError, ParseError, ReducibleModulu
 MAX_DEGREE = 16
 
 _HEX_LITERAL = re.compile(r"0[xX][0-9A-Fa-f]+\Z")
-_HEX_NUMBER = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+\Z")
 _POLY_TERM = re.compile(r"(?:0|1|([axα])(?:\^(\d+))?)\Z")
 
 
@@ -135,6 +135,8 @@ class GF2m:
     def __init__(self, m: int, modulus: int):
         if not 1 <= m <= MAX_DEGREE:
             raise BadDegreeError(f"extension degree must be in 1..{MAX_DEGREE}, got {m}")
+        if modulus < 0:  # no bitmask: trial division of it would never end
+            raise BadDegreeError(f"modulus {modulus:#x} is negative")
         if poly_degree(modulus) != m:
             raise BadDegreeError(
                 f"modulus {modulus:#x} has degree {poly_degree(modulus)}, expected {m}"
@@ -228,8 +230,8 @@ class GF2m:
             raise ParseError("empty element literal")
         if "(" in s:
             head, _, tail = s.partition("(")
-            if not tail.endswith(")"):
-                raise ParseError(f"unbalanced parentheses in {text!r}")
+            if not tail.endswith(")") or "(" in tail:  # one level: no recursion to exhaust
+                raise ParseError(f"unbalanced or nested parentheses in {text!r}")
             v1 = self.parse(head)
             v2 = self.parse(tail[:-1])
             if v1 != v2:
@@ -278,23 +280,3 @@ class GF2m:
     def format(self, a: int) -> str:
         """Both renderings at once, e.g. "0x65 (1+a^2+a^5+a^6)"; parse() round-trips it."""
         return f"{self.format_hex(a)} ({self.format_poly(a)})"
-
-    # -- serialization (field block of the matrix/spec JSON formats)
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "poly": f"0x{self.modulus:x}"}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GF2m":
-        """Read a field block; m must be a JSON integer and poly a hex string
-        or an integer (booleans and fractions are rejected, not coerced)."""
-        if not isinstance(obj, dict) or not {"m", "poly"} <= obj.keys():
-            raise ParseError(f"field block needs keys 'm' and 'poly', got {obj!r}")
-        m, poly = obj["m"], obj["poly"]
-        if type(m) is not int:
-            raise ParseError(f"field block 'm' must be an integer, got {m!r}")
-        if isinstance(poly, str) and _HEX_NUMBER.match(poly):
-            poly = int(poly, 16)
-        if type(poly) is not int:
-            raise ParseError(f"field block 'poly' must be a hex string or an integer, got {poly!r}")
-        return cls(m, poly)

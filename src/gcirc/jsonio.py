@@ -1,9 +1,16 @@
-"""JSON wire formats: matrices, specs, reports, diagonal pairs, and
-search jobs. Elements travel as hex strings; every payload embeds its
-field block {"m": ..., "poly": ...} so files are self-describing.
+"""JSON wire formats: field blocks, matrices, specs, reports, diagonal
+pairs, and search jobs. Elements travel as hex strings; every payload
+embeds its field block {"m": ..., "poly": ...} so files are
+self-describing.
+
+The one reader of outside values: files and the `--row` elements. Each
+value is type-checked by `_typed`, never coerced, and an error names its
+key, and a bad element its position.
 """
 
 from __future__ import annotations
+
+import re
 
 from .circulant import CyclicSpec, GCirculantSpec
 from .errors import ConfigError, ParseError
@@ -19,6 +26,7 @@ _JOB_KEYS = frozenset((
     "pruning", "prune_power_of_two", "debug_recheck",
 ))
 _ROW_SPACE_KEYS = frozenset(("kind", "count", "seed"))
+_HEX_NUMBER = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+\Z")
 
 
 def _typed(value, key: str, types: tuple, what: str, error=ConfigError):
@@ -37,9 +45,17 @@ def _list(value, key: str, item_types: tuple, what: str, error=ConfigError) -> t
     return tuple(_typed(x, key, item_types, what, error) for x in items)
 
 
-def _elements(ctx: GF2m, value, key: str) -> tuple[int, ...]:
+def elements(ctx: GF2m, value, key: str) -> tuple[int, ...]:
+    """The elements of a list of element strings; a bad literal's error
+    names the key and position: "row element 1: bad hex literal '0xzz'"."""
     strings = _list(value, key, (str,), "a list of element strings", ParseError)
-    return tuple(ctx.parse(e) for e in strings)
+    out = []
+    for pos, literal in enumerate(strings):
+        try:
+            out.append(ctx.parse(literal))
+        except ParseError as exc:
+            raise type(exc)(f"{key} element {pos}: {exc}") from None
+    return tuple(out)
 
 
 def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
@@ -48,23 +64,41 @@ def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
         raise ConfigError(f"unknown {where} key {', '.join(map(repr, unknown))}")
 
 
+def field_to_json(ctx: GF2m) -> dict:
+    return {"m": ctx.m, "poly": f"0x{ctx.modulus:x}"}
+
+
+def field_from_json(obj) -> GF2m:
+    """Read a field block; `m` must be an integer and `poly` a hex string
+    or an integer."""
+    if not isinstance(obj, dict) or not {"m", "poly"} <= obj.keys():
+        raise ParseError(f"field block needs keys 'm' and 'poly', got {obj!r}")
+    poly = obj["poly"]
+    if type(poly) is str and _HEX_NUMBER.match(poly):
+        poly = int(poly, 16)
+    return GF2m(
+        _typed(obj["m"], "m", _INT, "an integer", ParseError),
+        _typed(poly, "poly", _INT, "a hex string or an integer", ParseError),
+    )
+
+
 def matrix_to_json(a: Matrix) -> dict:
     return {
         "k": a.rows,
         "entries": [[a.ctx.format_hex(e) for e in row] for row in a.entries],
-        "field": a.ctx.to_json(),
+        "field": field_to_json(a.ctx),
     }
 
 
-def matrix_from_json(obj: dict, ctx: GF2m | None = None) -> Matrix:
+def matrix_from_json(obj: dict) -> Matrix:
     """Read a matrix; `entries` must be a list of element-string lists and
     `k`, when present, an integer equal to the row count and every row's
     length."""
-    ctx = ctx or GF2m.from_json(obj.get("field", {}))
+    ctx = field_from_json(obj.get("field", {}))
     if "entries" not in obj:
         raise ParseError("matrix JSON missing 'entries'")
     rows = _list(obj["entries"], "entries", (list,), "a list of rows", ParseError)
-    entries = [_elements(ctx, row, "entries") for row in rows]
+    entries = [elements(ctx, row, "entries") for row in rows]
     if "k" in obj:
         k = _typed(obj["k"], "k", _INT, "an integer", ParseError)
         if len(entries) != k or any(len(row) != k for row in entries):
@@ -76,7 +110,7 @@ def spec_to_json(spec: GCirculantSpec | CyclicSpec) -> dict:
     out = {
         "k": spec.k,
         "row": [spec.ctx.format_hex(c) for c in spec.row],
-        "field": spec.ctx.to_json(),
+        "field": field_to_json(spec.ctx),
     }
     if isinstance(spec, CyclicSpec):
         out["rho"] = list(spec.rho.images)
@@ -85,11 +119,11 @@ def spec_to_json(spec: GCirculantSpec | CyclicSpec) -> dict:
     return out
 
 
-def spec_from_json(obj: dict, ctx: GF2m | None = None) -> GCirculantSpec | CyclicSpec:
-    ctx = ctx or GF2m.from_json(obj.get("field", {}))
+def spec_from_json(obj: dict) -> GCirculantSpec | CyclicSpec:
+    ctx = field_from_json(obj.get("field", {}))
     try:
         k = _typed(obj["k"], "k", _INT, "an integer", ParseError)
-        row = _elements(ctx, obj["row"], "row")
+        row = elements(ctx, obj["row"], "row")
     except KeyError as exc:
         raise ParseError(f"spec JSON missing {exc}") from None
     if "rho" in obj:
@@ -143,7 +177,7 @@ def job_to_json(job: SearchJob) -> dict:
         rs["count"] = job.row_space.count
         rs["seed"] = job.row_space.seed
     return {
-        "field": job.ctx.to_json(),
+        "field": field_to_json(job.ctx),
         "k": job.k,
         "target": job.target.value,
         "row_space": rs,
@@ -163,10 +197,10 @@ def job_from_json(obj: dict) -> SearchJob:
         raise ConfigError("job file must contain a JSON object")
     _known_keys(obj, _JOB_KEYS, "job")
     try:
-        ctx = GF2m.from_json(obj["field"])
+        ctx = field_from_json(obj["field"])
         k = obj["k"]
         target = Target(obj["target"])
-        rs_obj = obj["row_space"]
+        rs_obj = _typed(obj["row_space"], "row_space", (dict,), "an object")
         kind = RowSpaceKind(rs_obj["kind"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed job: {exc}") from None

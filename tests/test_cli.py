@@ -165,6 +165,28 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "deep.json" in err and "too deeply" in err
 
+    def test_oversized_order_refused_before_building(self, tmp_path):
+        # a 350 KB spec of order 50,000: its 2.5 * 10^9 entries must never be
+        # built, so the child's capped address space is never reached
+        resource = pytest.importorskip("resource")
+        spec = {"k": 50_000, "g": 1, "row": ["0x1"] * 50_000, "field": {"m": 2, "poly": "0x7"}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec))
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcirc", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env=gcirc_env(),
+            timeout=30,
+            preexec_fn=cap_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: dimensions capped at 64\n"
+
 
 class TestSpecTypes:
     @pytest.mark.parametrize(
@@ -222,6 +244,7 @@ class TestCheckStructure:
             (CYCLIC % '"10"', "'rho'"),
             (CYCLIC % "[true, false]", "'rho'"),
             (CYCLIC % "[1.0, 0.0]", "'rho'"),
+            ('{"k": 0, "rho": [], "row": [], "field": {"m": 2, "poly": "0x7"}}', "order must be >= 1"),
             (MATRIX % ("", "5"), "'entries'"),
             (MATRIX % ("", "[5]"), "'entries'"),
             (MATRIX % ("", '["10", "01"]'), "'entries'"),
@@ -264,6 +287,7 @@ class TestFieldBlock:
             ({"m": 2, "poly": True}, "'poly'"),
             ({"m": 2, "poly": [7]}, "'poly'"),
             ({"m": 2, "poly": "0xzz"}, "'poly'"),
+            ({"m": 2, "poly": -5}, "negative"),
         ],
     )
     def test_check_spec_field(self, capsys, tmp_path, field, named):
@@ -695,6 +719,35 @@ class TestRepro:
         code, out, _ = run(capsys, ["repro", "ex-semiinv-2x2", "--format", "text"])
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+
+class TestUsageErrors:
+    """Each argument error exits 2 with exactly one `error:` line on stderr."""
+
+    JOB = {
+        "field": {"m": 2, "poly": "0x7"},
+        "k": 2,
+        "target": "MDS_ONLY",
+        "row_space": {"kind": "EXHAUSTIVE"},
+    }
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["build", "--k", "2", "--g", "1", "--row", "1", "1"],
+             "--field-m and --field-poly are required for this command"),
+            (["check"], "check needs an input file or --k/--g/--row"),
+            (["search", "JOB", "--partition", "1-3"], "--partition expects I/N, got '1-3'"),
+            (["search", "JOB", "--partition", "4/3"], "partition index 4 outside 1..3"),
+            (["repro", "ex-bogus"],
+             f"unknown example 'ex-bogus'; choose from {', '.join(gcirc.catalog.CASES)}"),
+        ],
+    )
+    def test_exact_message(self, capsys, tmp_path, argv, line):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(self.JOB))
+        code, out, err = run(capsys, [str(path) if a == "JOB" else a for a in argv])
+        assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 class TestFormatting:

@@ -12,6 +12,7 @@ from gcirc import (
     ReducibleModulusError,
     is_irreducible,
 )
+from gcirc import jsonio
 from gcirc.field import _tables
 
 from conftest import schoolbook_mul, schoolbook_pow
@@ -40,6 +41,9 @@ class TestConstruction:
             GF2m(5, 0x13)
         with pytest.raises(BadDegreeError):
             GF2m(8, 0x13)
+        # -5 has bit length 3, like a degree-2 modulus
+        with pytest.raises(BadDegreeError):
+            GF2m(2, -5)
 
     def test_degree_bounds(self):
         with pytest.raises(BadDegreeError):
@@ -66,7 +70,7 @@ class TestConstruction:
         assert GF2m(4, 0x13) != GF2m(4, 0x19)
 
     def test_json_round_trip(self, ctx165):
-        assert GF2m.from_json(ctx165.to_json()) == ctx165
+        assert jsonio.field_from_json(jsonio.field_to_json(ctx165)) == ctx165
 
 
 class TestAddMul:
@@ -226,7 +230,8 @@ class TestParseFormat:
             ctx165.parse("0x100")
 
     def test_parse_errors(self, ctx165):
-        for bad in ("", "a^", "b^2", "1+", "0xzz", "a**2"):
+        nested = "1(" * 3000 + "1" + ")" * 3000  # deeper than the recursion limit
+        for bad in ("", "a^", "b^2", "1+", "0xzz", "a**2", "0x03 (0x03 (1+a))", nested):
             with pytest.raises(ParseError):
                 ctx165.parse(bad)
 
