@@ -257,7 +257,12 @@ class GF2m:
             if term == "1":
                 mask ^= 1
                 continue
-            degree = int(match.group(2)) if match.group(2) is not None else 1
+            digits = (match.group(2) or "1").lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)):  # int() refuses thousands of digits
+                raise OutOfRangeError(
+                    f"term at position {pos} has a {len(digits)}-digit degree, field degree is {self.m}"
+                )
+            degree = int(digits)
             if degree >= self.m:
                 raise OutOfRangeError(
                     f"term {term!r} has degree {degree}, field degree is {self.m}"

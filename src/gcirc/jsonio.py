@@ -58,6 +58,22 @@ def elements(ctx: GF2m, value, key: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _required(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ConfigError(f"{where} needs key {key!r}")
+    return obj[key]
+
+
+def _member(value, key: str, enum):
+    """The member of `enum` whose value is `value`, else ConfigError naming
+    the key and the allowed values."""
+    try:
+        return enum(value)
+    except ValueError:
+        allowed = ", ".join(member.value for member in enum)
+        raise ConfigError(f"{key!r} must be one of {allowed}, got {value!r}") from None
+
+
 def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
     unknown = sorted(obj.keys() - keys)
     if unknown:
@@ -196,14 +212,15 @@ def job_from_json(obj: dict) -> SearchJob:
     if not isinstance(obj, dict):
         raise ConfigError("job file must contain a JSON object")
     _known_keys(obj, _JOB_KEYS, "job")
+    field = _required(obj, "field", "job")
     try:
-        ctx = field_from_json(obj["field"])
-        k = obj["k"]
-        target = Target(obj["target"])
-        rs_obj = _typed(obj["row_space"], "row_space", (dict,), "an object")
-        kind = RowSpaceKind(rs_obj["kind"])
-    except (KeyError, TypeError, ValueError) as exc:
+        ctx = field_from_json(field)
+    except ValueError as exc:
         raise ConfigError(f"malformed job: {exc}") from None
+    k = _required(obj, "k", "job")
+    target = _member(_required(obj, "target", "job"), "target", Target)
+    rs_obj = _typed(_required(obj, "row_space", "job"), "row_space", (dict,), "an object")
+    kind = _member(_required(rs_obj, "kind", "row_space"), "kind", RowSpaceKind)
     _known_keys(rs_obj, _ROW_SPACE_KEYS, "row_space")
     row_space = RowSpace(
         kind,

@@ -6,9 +6,11 @@ Candidates are indexed by a single integer token over the flattened
 (g, row) space: rows enumerate as base-q numerals with c_0 most
 significant, g blocks in ascending order. That makes every job
 resumable, partitionable, and byte-for-byte deterministic. With pruning
-on, exact theorem filters drop candidates from the spec alone; every
-other candidate is decided by one lazy full_report, and a hit carries
-that same report.
+on, exact theorem filters drop candidates from the spec alone: whole g
+blocks before any row is built, and in an EXHAUSTIVE INVOLUTORY_MDS
+block every row the characteristic-2 square law's linear conditions
+reject, whose tokens the walk skips unbuilt. Every other candidate is
+decided by one lazy full_report, and a hit carries that same report.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator
 
-from .circulant import GCirculantSpec, build_g_circulant, square_is_identity
-from .errors import ConfigError, ResumeTokenError, SpaceTooLargeError
+from .circulant import GCirculantSpec, _square_plan, build_g_circulant, square_is_identity
+from .errors import ConfigError, DimensionError, ResumeTokenError, SpaceTooLargeError
 from .field import GF2m
+from .matrix import MAX_DIM
 from .properties import PropertyReport, full_report, involutory_g_filter
 from .properties import is_mds  # noqa: F401  # kept as gcirc.search.is_mds, a name the benchmark's tracer test asserts
 
@@ -78,6 +81,8 @@ class SearchJob:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"order must be >= 1, got {self.k}")
+        if self.k > MAX_DIM:  # before the g set and the window, which grow with k
+            raise DimensionError(f"dimensions capped at {MAX_DIM}")
         constrained = self.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
         if self.g_set is None:
             if constrained:
@@ -188,9 +193,14 @@ def target_satisfied(report: PropertyReport, target: Target) -> bool:
 
 def _g_pruned(job: SearchJob, g: int) -> bool:
     """True when an exact theorem filter rules out every row of g's block."""
+    if job.target is not Target.INVOLUTORY_MDS:
+        return False
     k = job.k
     power_of_two = job.prune_power_of_two and k >= 4 and k & (k - 1) == 0  # no involutory MDS of order 2^d
-    return job.target is Target.INVOLUTORY_MDS and (power_of_two or not involutory_g_filter(g, k))
+    if power_of_two or not involutory_g_filter(g, k):
+        return True
+    # a fixed set at l != 0 holding one index forces it to 0 (exactly g = 1 with odd k > 1)
+    return any(len(indices) == 1 for indices in _square_plan(k, g)[0][1:])
 
 
 def _row_pruned(job: SearchJob, spec: GCirculantSpec) -> bool:
@@ -206,21 +216,107 @@ def _row_pruned(job: SearchJob, spec: GCirculantSpec) -> bool:
     )
 
 
+def _admitted_rows(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(ordinal, row) in ascending order for the EXHAUSTIVE rows in ordinals
+    [lo, hi) with no zero entry that meet square_is_identity's linear
+    conditions: the sum over each fixed set of _square_plan(k, g) is 1 at
+    l = 0 and 0 elsewhere.
+
+    The fixed sets partition the indices, and each nonempty one
+    determines its largest index from its others, which are free. Free
+    digits run over 1..q-1 with the lowest index most significant, and a
+    determined digit depends only on lower indices, so the rank of the
+    free digits orders the rows by ordinal; the window start is found by
+    bisecting that rank. A row whose determined digit is 0 is dropped."""
+    q, k, m = job.ctx.q, job.k, job.ctx.m
+    fixed, _ = _square_plan(k, g)
+    # (determined index, the free indices it sums, the sum's target)
+    rules = sorted((fs[-1], fs[:-1], 1 if n == 0 else 0) for n, fs in enumerate(fixed) if fs)
+    free = sorted(set(range(k)) - {i for i, _, _ in rules}, reverse=True)
+
+    def at(rank: int) -> tuple[int, list[int]]:
+        """(ordinal, row) of the free digits of that rank."""
+        row = [0] * k
+        for i in free:
+            rank, digit = divmod(rank, q - 1)
+            row[i] = digit + 1
+        for i, others, value in rules:
+            for j in others:
+                value ^= row[j]
+            row[i] = value
+        ordinal = 0
+        for c in row:
+            ordinal = ordinal << m | c
+        return ordinal, row
+
+    ranks = (q - 1) ** len(free)
+    first, last = 0, ranks
+    while first < last:
+        mid = (first + last) // 2
+        if at(mid)[0] < lo:
+            first = mid + 1
+        else:
+            last = mid
+    for rank in range(first, ranks):
+        ordinal, row = at(rank)
+        if ordinal >= hi:
+            return
+        if all(row):
+            yield ordinal, tuple(row)
+
+
+def _row_source(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(ordinal, row) for the rows of g's block in ordinals [lo, hi) that
+    run_search builds: none for a pruned g block, the admitted rows of an
+    EXHAUSTIVE involutory block, and every row_at otherwise."""
+    if job.pruning and _g_pruned(job, g):
+        return iter(())
+    if job.pruning and job.target is Target.INVOLUTORY_MDS and job.row_space.kind is RowSpaceKind.EXHAUSTIVE:
+        return _admitted_rows(job, g, lo, hi)
+    return ((ordinal, job.row_at(g, ordinal)) for ordinal in range(lo, hi))
+
+
+def _recheck(job: SearchJob, g: int, token: int, ordinal: int, row: tuple[int, ...] | None = None) -> None:
+    """For a pruned token that debug_recheck samples, assert that the full
+    report rejects its candidate too; a row the row source skipped is
+    built with row_at."""
+    if job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck:
+        spec = GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal) if row is None else row)
+        if target_satisfied(full_report(build_g_circulant(spec)), job.target):
+            raise AssertionError(f"pruning dropped a qualifying candidate: {spec}")
+
+
+def _walk_pruned(
+    job: SearchJob, g: int, base: int, lo: int, hi: int, on_progress: Callable[[int], None] | None
+) -> None:
+    """Walk the ordinals [lo, hi) of g's block that its row source
+    skipped: each is a pruned token."""
+    for ordinal in range(lo, hi):
+        if job.debug_recheck:
+            _recheck(job, g, base + ordinal, ordinal)
+        if on_progress is not None:
+            on_progress(base + ordinal)
+
+
 def run_search(
     job: SearchJob, on_progress: Callable[[int], None] | None = None
 ) -> Iterator[SearchResult]:
     """Walk the job's token window and yield every verified hit.
 
-    Results come out in ascending (g, ordinal) order. With pruning on,
-    _g_pruned drops whole g blocks before their rows are built, then
-    _row_pruned drops rows, before a constrained row is squared to decide
-    its membership; every other candidate, and every candidate
-    without pruning, is decided by target_satisfied on one full_report,
-    which the hit carries. debug_recheck samples that fraction of the
-    pruned candidates and asserts that the full report rejects them too.
-    on_progress(token) runs once the token is walked: for a hit, only
-    when the consumer asks for the next result, so a consumer that
-    must know its place while it handles a hit reads the hit's token.
+    Results come out in ascending (g, ordinal) order. Each g block's rows
+    come from _row_source: with pruning on, a block _g_pruned rules out
+    builds none, and an EXHAUSTIVE INVOLUTORY_MDS block builds only the
+    rows that meet the square law's linear conditions (_admitted_rows);
+    every other token between them is pruned unbuilt. _row_pruned then
+    drops built rows, before a constrained row is squared to decide its
+    membership; every other candidate, and every candidate without
+    pruning, is decided by target_satisfied on one full_report, which
+    the hit carries. debug_recheck samples that fraction of the pruned
+    candidates, builds them with row_at, and asserts that the full
+    report rejects them too. on_progress(token) runs once the token is
+    walked, for every token of the window: for a hit, only when the
+    consumer asks for the next result, so a consumer that must know its
+    place while it handles a hit reads the hit's token.
     """
     start, stop = job.window()
     if stop - start > CANDIDATE_CAP:
@@ -230,26 +326,29 @@ def run_search(
         )
     per_g = job.per_g_size()
     constrained = job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
-    g_pruned = [job.pruning and _g_pruned(job, g) for g in job.g_set]
-    for token in range(start, stop):
-        gi, ordinal = divmod(token, per_g)
-        g = job.g_set[gi]
-        recheck = job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck
-        # a pruned g block builds rows only for the tokens debug_recheck samples
-        spec = None if g_pruned[gi] and not recheck else GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal))
-        if spec is None:
-            pass  # pruned with its g block
-        elif job.pruning and (g_pruned[gi] or _row_pruned(job, spec)):
-            if recheck and target_satisfied(full_report(build_g_circulant(spec)), job.target):
-                raise AssertionError(f"pruning dropped a qualifying candidate: {spec}")
-        elif constrained and not square_is_identity(spec):
-            pass  # outside the constrained row space
-        else:
-            report = full_report(build_g_circulant(spec))
-            if target_satisfied(report, job.target):
-                yield SearchResult(spec, report, ordinal, token)
-        if on_progress is not None:
-            on_progress(token)
+    for gi, g in enumerate(job.g_set):
+        base = gi * per_g
+        lo, hi = max(start - base, 0), min(stop - base, per_g)
+        if lo >= hi:
+            continue
+        walked = lo  # the next ordinal not yet walked
+        for ordinal, row in _row_source(job, g, lo, hi):
+            if ordinal > walked:
+                _walk_pruned(job, g, base, walked, ordinal, on_progress)
+            token = base + ordinal
+            spec = GCirculantSpec(job.ctx, job.k, g, row)
+            if job.pruning and _row_pruned(job, spec):
+                _recheck(job, g, token, ordinal, row)
+            elif constrained and not square_is_identity(spec):
+                pass  # outside the constrained row space
+            else:
+                report = full_report(build_g_circulant(spec))
+                if target_satisfied(report, job.target):
+                    yield SearchResult(spec, report, ordinal, token)
+            if on_progress is not None:
+                on_progress(token)
+            walked = ordinal + 1
+        _walk_pruned(job, g, base, walked, hi, on_progress)
 
 
 def job_part(job: SearchJob, index: int, n_parts: int) -> SearchJob:

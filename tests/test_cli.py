@@ -73,6 +73,15 @@ class TestBuild:
         assert code == 2
         assert "row element 1" in err
 
+    def test_long_degree_positioned(self, capsys):
+        # int() refuses a degree of over 4300 digits with a plain ValueError
+        code, _, err = run(
+            capsys, FIELD_165 + ["build", "--k", "2", "--g", "1", "--row", "1", "a^" + "9" * 4400]
+        )
+        assert (code, err) == (
+            2, "error: row element 1: term at position 0 has a 4400-digit degree, field degree is 8\n"
+        )
+
     def test_field_required(self, capsys):
         code, _, err = run(capsys, ["build", "--k", "2", "--g", "1", "--row", "1", "1"])
         assert code == 2
@@ -467,12 +476,12 @@ class TestSearch:
         assert "partition" in err
 
     def test_space_guard_message_is_bounded(self, capsys, tmp_path):
-        # 3200 coprime g times 4^8000 rows: a window of over 16,000 bits
+        # 32 coprime g times 2^(16*64) rows: a window of over 1,000 bits
         path = self.job_path(
             tmp_path,
             {
-                "field": {"m": 2, "poly": "0x7"},
-                "k": 8000,
+                "field": {"m": 16, "poly": "0x1002b"},
+                "k": 64,
                 "target": "MDS_ONLY",
                 "row_space": {"kind": "EXHAUSTIVE"},
             },
@@ -486,12 +495,12 @@ class TestSearch:
         [({"resume_token": -1}, "resume token -1"), ({"stop_token": -1}, "stop token -1")],
     )
     def test_bad_token_message_is_bounded(self, capsys, tmp_path, tokens, named):
-        # the same window of over 16,000 bits: the bad token is named, the total is not printed
+        # the same window of over 1,000 bits: the bad token is named, the total is not printed
         path = self.job_path(
             tmp_path,
             {
-                "field": {"m": 2, "poly": "0x7"},
-                "k": 8000,
+                "field": {"m": 16, "poly": "0x1002b"},
+                "k": 64,
                 "target": "MDS_ONLY",
                 "row_space": {"kind": "EXHAUSTIVE"},
                 **tokens,
@@ -500,6 +509,23 @@ class TestSearch:
         code, out, err = run(capsys, ["search", path])
         assert code == 2 and out == ""
         assert named in err and len(err) < 200
+
+    @pytest.mark.parametrize("k", [65, 8000, 3 * 10**7, 10**9])
+    def test_oversized_order_refused_first(self, capsys, tmp_path, k):
+        # refused before the g set is listed or the window computed, which
+        # took seconds and memory at k = 3 * 10^7
+        path = self.job_path(
+            tmp_path,
+            {
+                "field": {"m": 2, "poly": "0x7"},
+                "k": k,
+                "target": "MDS_ONLY",
+                "row_space": {"kind": "EXHAUSTIVE"},
+                "resume_token": -1,
+            },
+        )
+        code, out, err = run(capsys, ["search", path])
+        assert (code, out, err) == (2, "", "error: dimensions capped at 64\n")
 
     def test_deeply_nested_job_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

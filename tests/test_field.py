@@ -235,6 +235,16 @@ class TestParseFormat:
             with pytest.raises(ParseError):
                 ctx165.parse(bad)
 
+    def test_degree_digits(self, ctx165):
+        # a degree past int()'s 4300-digit limit is refused by its length
+        assert ctx165.parse("a^" + "0" * 5000 + "7") == 0x80
+        with pytest.raises(OutOfRangeError, match="term at position 1 has a 5000-digit degree"):
+            ctx165.parse("1+a^" + "9" * 5000)
+        with pytest.raises(OutOfRangeError, match="term 'a\\^99' has degree 99, field degree is 8"):
+            ctx165.parse("a^99")
+        with pytest.raises(OutOfRangeError, match="term at position 0 has a 3-digit degree, field degree is 8"):
+            ctx165.parse("a^100")
+
     def test_combined_form_requires_agreement(self, ctx165):
         assert ctx165.parse("0x03 (1+a)") == 0x03
         with pytest.raises(ParseError):

@@ -45,9 +45,8 @@ pytestmark = pytest.mark.filterwarnings(
 FIELDS = [(2, 0x7), (4, 0x13), (8, 0x11D)]
 ALL_FIELDS = FIELDS + [(1, 0x3), (16, 0x1002B)]
 
-# Integers stay small: a job's order sets how long the job takes to set
-# up (SearchJob lists every g coprime to k), and a check of a valid order
-# above 12 warns, which the suite turns into an error.
+# Integers stay small: a check of a valid order above 12 warns, which the
+# suite turns into an error. Job orders above 64 are drawn in job_files.
 SCALARS = (
     st.none()
     | st.booleans()
@@ -166,6 +165,9 @@ def job_files(draw):
     obj = mutated(draw, jsonio.job_to_json(job), fixed=("stop_token",))
     if draw(st.integers(0, 9)) == 0:
         obj["stop_token"] = draw(ANY_JSON.filter(lambda v: type(v) is not int and v is not None))
+    if draw(st.integers(0, 3)) == 0:
+        # refused before its g set or window is computed, which grow with k
+        obj["k"] = draw(st.integers(65, 10**9))
     return obj
 
 
@@ -204,6 +206,8 @@ class TestMalformedInput:
         input_path.write_text(json.dumps(obj))
         code, out, err = run_main(["search", str(input_path)])
         assert code in (0, 2, 3)
+        if type(obj.get("k")) is int and obj["k"] > 64:
+            assert code == 2
         if code == 0:
             assert err.startswith("search done: ")
             for line in out.splitlines():

@@ -2,8 +2,12 @@
 partition equality, constrained rows, and guards."""
 
 import json
+import random
 from collections import Counter
+from dataclasses import replace
+from functools import cache
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -12,6 +16,7 @@ import gcirc.search as search_mod
 from gcirc import (
     ConfigError,
     GCirculantSpec,
+    GF2m,
     Matrix,
     ResumeTokenError,
     RowSpace,
@@ -107,8 +112,9 @@ class TestCompleteness:
 
 
 class TestPrunedGBlocks:
-    """g in {2, 3} fails g^2 = 1 (mod 5): those blocks are walked without
-    building a row, unless debug_recheck samples a token."""
+    """g in {2, 3} fails g^2 = 1 (mod 5), and g = 1 with odd k forces an
+    entry to 0: those blocks are walked without building a row, unless
+    debug_recheck samples a token."""
 
     COUNT = 40
 
@@ -143,8 +149,18 @@ class TestPrunedGBlocks:
         walked = []
         list(run_search(job, on_progress=walked.append))
         assert walked == list(range(4 * self.COUNT))
-        assert recorded["rows"] == [1] * self.COUNT + [4] * self.COUNT
-        assert recorded["hash"] == 2 * self.COUNT * 5
+        assert recorded["rows"] == [4] * self.COUNT
+        assert recorded["hash"] == self.COUNT * 5
+
+    @pytest.mark.parametrize("k", [3, 7, 9])
+    def test_g_1_odd_k_builds_no_row(self, ctx11d, recorded, k):
+        job = SearchJob(
+            ctx11d, k, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=self.COUNT, seed=9), g_set=(1,)
+        )
+        walked = []
+        assert list(run_search(job, on_progress=walked.append)) == []
+        assert walked == list(range(self.COUNT))
+        assert recorded["rows"] == [] and recorded["hash"] == 0
 
     def test_debug_recheck_rebuilds_every_pruned_candidate(self, ctx11d, recorded):
         job = self.job(ctx11d, debug_recheck=1.0)
@@ -155,6 +171,109 @@ class TestPrunedGBlocks:
         assert [(s.g, s.row) for s in recorded["built"]] == [
             (g, job.row_at(g, o)) for g in job.g_set for o in range(self.COUNT)
         ]
+
+
+def square_roots_of_one(k):
+    return [g for g in range(k) if gcd(g, k) == 1 and g * g % k == 1 % k]
+
+
+# (m, modulus, k): every EXHAUSTIVE space whose admitted rows are checked
+# against a brute force over all of its tokens
+WALK_SPACES = [(2, 0x7, k) for k in range(1, 9)] + [(4, 0x13, k) for k in range(2, 6)]
+
+
+@cache
+def brute_force_admitted(m, modulus, k, g):
+    """(ordinal, row) for every row of q^k with no zero entry whose square's
+    row2 (shifted_convolution's out[l], summed over every pair) is 1 at
+    l = 0 and 0 at every other l with g*l = l (mod k)."""
+    ctx = GF2m(m, modulus)
+    mul = [[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
+    pairs = [(l, [(i, (l - g * i) % k) for i in range(k)]) for l in range(k) if g * l % k == l]
+    out = []
+    for ordinal, row in enumerate(product(range(ctx.q), repeat=k)):
+        if 0 in row:
+            continue
+        for l, sums in pairs:
+            acc = 0
+            for i, j in sums:
+                acc ^= mul[row[i]][row[j]]
+            if acc != (l == 0):
+                break
+        else:
+            out.append((ordinal, row))
+    return out
+
+
+class TestAdmittedRows:
+    """An EXHAUSTIVE INVOLUTORY_MDS block builds only the rows the square
+    law's linear conditions admit; every other token is pruned unbuilt."""
+
+    def job(self, m, modulus, k, **kw):
+        return exhaustive_job(GF2m(m, modulus), k, Target.INVOLUTORY_MDS, **kw)
+
+    @pytest.mark.parametrize("m, modulus, k", WALK_SPACES)
+    def test_equals_brute_force(self, m, modulus, k):
+        job = self.job(m, modulus, k)
+        per_g = job.per_g_size()
+        for g in square_roots_of_one(k):
+            expected = brute_force_admitted(m, modulus, k, g)
+            assert list(search_mod._row_source(job, g, 0, per_g)) == expected, g
+            if k > 1 and g == 1 and k % 2:
+                assert expected == []  # a lone index of a fixed set is forced to 0
+
+    @pytest.mark.parametrize("m, modulus, k", WALK_SPACES)
+    def test_windows(self, m, modulus, k):
+        rng = random.Random(k * 100 + m)
+        job = self.job(m, modulus, k)
+        per_g = job.per_g_size()
+        for g in square_roots_of_one(k):
+            expected = brute_force_admitted(m, modulus, k, g)
+            for _ in range(8):
+                lo = rng.randrange(per_g + 1)
+                hi = rng.randrange(lo, per_g + 1)
+                walked = list(search_mod._row_source(job, g, lo, hi))
+                assert walked == [(o, row) for o, row in expected if lo <= o < hi], (g, lo, hi)
+            cuts = sorted(rng.randrange(per_g + 1) for _ in range(5))
+            bounds = [0, *cuts, per_g]
+            parts = [search_mod._row_source(job, g, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            assert [pair for part in parts for pair in part] == expected
+
+    @pytest.mark.parametrize("m, modulus, k", WALK_SPACES)
+    def test_progress_and_recheck_on_windows(self, m, modulus, k):
+        rng = random.Random(k * 100 + m + 1)
+        job = self.job(m, modulus, k)
+        total = job.total_candidates()
+        for _ in range(3):
+            start = rng.randrange(total + 1)
+            stop = min(total, start + rng.randrange(1, 600))
+            window = replace(job, resume_token=start, stop_token=stop, debug_recheck=1.0)
+            walked = []
+            list(run_search(window, on_progress=walked.append))
+            assert walked == list(range(start, stop))
+
+    def test_partitions_concatenate(self, gf16):
+        job = exhaustive_job(gf16, 3, Target.INVOLUTORY_MDS)
+        whole = collect(job)
+        assert len(whole) == 12
+        for n in (2, 7, 64):
+            tokens = []
+            parts = []
+            for i in range(n):
+                part = job_part(job, i, n)
+                parts += run_search(part, on_progress=tokens.append)
+            assert parts == whole and tokens == list(range(job.total_candidates()))
+
+    @pytest.mark.parametrize("start", [0, 13_000, 65_536, 100_000])
+    def test_gf16_k4_hits_equal_unpruned(self, gf16, start):
+        job = exhaustive_job(gf16, 4, Target.INVOLUTORY_MDS, resume_token=start, stop_token=start + 3000)
+        assert collect(job) == collect(replace(job, pruning=False))
+
+    def test_forced_zero_rule_is_g_1_with_odd_k(self):
+        for k in range(1, 65):
+            for g in square_roots_of_one(k):
+                job = exhaustive_job(GF2m(2, 0x7), k, Target.INVOLUTORY_MDS, g_set=(g,))
+                assert search_mod._g_pruned(job, g) == (g == 1 and k % 2 == 1 and k > 1), (k, g)
 
 
 def candidates(job):
@@ -531,3 +650,27 @@ class TestJobJson:
             job_from_json({"k": 2})
         with pytest.raises(ConfigError):
             job_from_json([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"target": 5}, "'target' must be one of INVOLUTORY_MDS, SEMI_INVOLUTORY_MDS,"
+             " SEMI_ORTHOGONAL_MDS, MDS_ONLY, got 5"),
+            ({"target": "MDS"}, "'target' must be one of INVOLUTORY_MDS, SEMI_INVOLUTORY_MDS,"
+             " SEMI_ORTHOGONAL_MDS, MDS_ONLY, got 'MDS'"),
+            ({"row_space": {"kind": ["RANDOM"]}}, "'kind' must be one of EXHAUSTIVE, RANDOM,"
+             " CONSTRAINED_LEFT_CIRCULANT, got ['RANDOM']"),
+            ({"field": None}, "job needs key 'field'"),
+            ({"k": None}, "job needs key 'k'"),
+            ({"target": None}, "job needs key 'target'"),
+            ({"row_space": None}, "job needs key 'row_space'"),
+            ({"row_space": {}}, "row_space needs key 'kind'"),
+        ],
+    )
+    def test_error_names_key(self, change, message):
+        obj = {"field": {"m": 2, "poly": "0x7"}, "k": 2, "target": "MDS_ONLY", "row_space": {"kind": "EXHAUSTIVE"}}
+        obj.update(change)
+        obj = {key: value for key, value in obj.items() if value is not None}
+        with pytest.raises(ConfigError) as info:
+            job_from_json(obj)
+        assert str(info.value) == message
