@@ -9,12 +9,6 @@ from .circulant import (
     build_cyclic,
     build_g_circulant,
     build_left_circulant,
-    cyclic_to_circulant,
-    detect_g_circulant,
-    g_shift_cycle,
-    left_circulant_submatrices,
-    rotation_perm,
-    satisfies_shift,
     shifted_convolution,
     square_is_identity,
     square_structured,
@@ -39,8 +33,6 @@ from .modular import (
     SqrtOneSolutions,
     crt_sqrt_one_solutions,
     factorize,
-    gcd,
-    is_complete_residue_system,
     mod_inverse,
     predicted_sqrt_one_count,
     sqrt_one_solutions,
@@ -53,7 +45,6 @@ from .properties import (
     diagonal_power_scalar,
     full_report,
     involutory_g_filter,
-    is_involutory,
     is_mds,
     left_circulant_involutory_conditions,
     rescale_pair,

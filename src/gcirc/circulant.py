@@ -7,15 +7,14 @@ g = 1 gives the ordinary circulant, g = k-1 the (symmetric)
 left-circulant. A cyclic matrix generalizes the row-to-row step to an
 arbitrary k-cycle rho via C[i,j] = c_{rho^{-i}(j)}.
 
-Structure laws computed here: the shift relation
-A[i,j] = A[i+1, j+g] and detection of g from it, the square as a
-(g^2, convolution row) pair, the characteristic-2 square law that
-decides A^2 = I from the first row when g^2 = 1 (mod k), the
-permutation equivalence between cyclic and circulant matrices, and the
-left-circulant minors of a (2^{d-1}-1)-circulant of order 2^d. The
-laws that are only asserted (A = Q_g * circ(c), inverse and transpose
-g^{-1}-circulant, product of a g- and an h-circulant gh-circulant) are
-checked against dense arithmetic in the tests.
+Structure laws computed here: the square as a (g^2, convolution row)
+pair, and the characteristic-2 square law that decides A^2 = I from the
+first row when g^2 = 1 (mod k). The laws that are only asserted (the
+shift relation A[i,j] = A[i+1, j+g], A = Q_g * circ(c), inverse and
+transpose g^{-1}-circulant, product of a g- and an h-circulant
+gh-circulant, the permutation equivalence between cyclic and circulant
+matrices, and the left-circulant minors of a (2^{d-1}-1)-circulant of
+order 2^d) are checked against dense arithmetic in the tests.
 """
 
 from __future__ import annotations
@@ -110,44 +109,6 @@ def build_cyclic(spec: CyclicSpec) -> Matrix:
     return Matrix(spec.ctx, out)
 
 
-def g_shift_cycle(k: int, g: int) -> Permutation:
-    """The k-cycle (0, g, 2g mod k, ...), i.e. i -> i+g mod k.
-
-    Requires gcd(g, k) = 1, otherwise the orbit of 0 is shorter than k.
-    """
-    if math.gcd(g % k, k) != 1:
-        raise NotCoprimeError(f"gcd({g}, {k}) != 1: orbit of 0 does not cover 0..{k - 1}")
-    return Permutation((i + g) % k for i in range(k))
-
-
-def rotation_perm(k: int) -> Permutation:
-    """P = circulant(0,1,0,...,0) as a permutation: i -> i+1 mod k."""
-    return Permutation((i + 1) % k for i in range(k))
-
-
-def satisfies_shift(a: Matrix, g: int) -> bool:
-    """True iff A[i,j] = A[(i+1) mod k, (j+g) mod k] for all i, j."""
-    if not a.is_square:
-        return False
-    k = a.rows
-    e = a.entries
-    g %= k
-    return all(
-        e[i][j] == e[(i + 1) % k][(j + g) % k] for i in range(k) for j in range(k)
-    )
-
-
-def detect_g_circulant(a: Matrix):
-    """Smallest g in 0..k-1 whose shift relation the matrix satisfies,
-    with row 0; None if no g works."""
-    if not a.is_square:
-        raise DimensionError("detection needs a square matrix")
-    for g in range(a.rows):
-        if satisfies_shift(a, g):
-            return g, a.entries[0]
-    return None
-
-
 def shifted_convolution(ctx: GF2m, row, g: int) -> list[int]:
     """out[l] = sum of c_i * c_j over all pairs with g*i + j = l (mod k)."""
     row = tuple(row)
@@ -212,37 +173,3 @@ def square_is_identity(spec: GCirculantSpec) -> bool:
         if acc:
             return False
     return True
-
-
-def cyclic_to_circulant(spec: CyclicSpec):
-    """The unique permutation Q with cyclic * Q = circulant.
-
-    Q[i,j] = 1 iff i = rho^j(0); the circulant's first row is
-    (c_0, c_{rho(0)}, c_{rho^2(0)}, ...). Q^{-1} equals the cyclic
-    matrix with first row (1,0,...,0).
-    """
-    orbit = spec.rho.orbit(0)
-    images = [0] * spec.k
-    for j, node in enumerate(orbit):
-        images[node] = j
-    q = Permutation(images)
-    circ_row = tuple(spec.row[node] for node in orbit)
-    return q, circ_row
-
-
-def left_circulant_submatrices(spec: GCirculantSpec):
-    """The two left-circulant minors of a (2^{d-1}-1)-circulant of order 2^d.
-
-    Even rows x even columns give left-circulant(c_0, c_2, ...); even
-    rows x odd columns give left-circulant(c_1, c_3, ...).
-    """
-    k = spec.k
-    d = k.bit_length() - 1
-    if k < 4 or k != 1 << d:
-        raise DimensionError(f"order must be a power of two >= 4, got {k}")
-    if spec.g != (1 << (d - 1)) - 1:
-        raise DimensionError(f"shift must be 2^{d - 1} - 1 = {(1 << (d - 1)) - 1}, got {spec.g}")
-    a = build_g_circulant(spec)
-    evens = list(range(0, k, 2))
-    odds = list(range(1, k, 2))
-    return a.submatrix(evens, evens), a.submatrix(evens, odds)

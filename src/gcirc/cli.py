@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import catalog, jsonio
 from .circulant import CyclicSpec, GCirculantSpec, build_cyclic, build_g_circulant, square_structured
-from .errors import ConfigError, GcircError, ParseError, SpaceTooLargeError
+from .errors import ConfigError, GcircError, ParseError, SpaceTooLargeError, excerpt
 from .field import GF2m
 from .matrix import Matrix
 from .modular import sqrt_one_solutions
@@ -209,7 +209,7 @@ def _cmd_search(args) -> int:
         try:
             part, total = (int(x) for x in args.partition.split("/"))
         except ValueError:
-            raise ConfigError(f"--partition expects I/N, got {args.partition!r}") from None
+            raise ConfigError(f"--partition expects I/N, got {excerpt(repr(args.partition))}") from None
         if not 1 <= part <= total:
             raise ConfigError(f"partition index {part} outside 1..{total}")
         job = job_part(job, part - 1, total)
@@ -254,7 +254,7 @@ def _cmd_repro(args) -> int:
     ids = list(catalog.CASES) if args.example == "all" else [args.example]
     for case_id in ids:
         if case_id not in catalog.CASES:
-            raise ConfigError(f"unknown example {case_id!r}; choose from {', '.join(catalog.CASES)}")
+            raise ConfigError(f"unknown example {excerpt(repr(case_id))}; choose from {', '.join(catalog.CASES)}")
     all_passed = True
     outputs = []
     for case_id in ids:

@@ -4,6 +4,16 @@ The CLI maps these onto exit codes: bad input or configuration exits 2,
 resource guards exit 3.
 """
 
+EXCERPT_CHARS = 60
+
+
+def excerpt(text: str) -> str:
+    """`text` when it is at most EXCERPT_CHARS long, else its head and its
+    length: a message repeats outside text back, never all of a long one."""
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"
+
 
 class GcircError(Exception):
     """Base class for all toolkit errors."""

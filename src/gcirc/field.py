@@ -23,9 +23,8 @@ from __future__ import annotations
 import re
 from array import array
 from functools import lru_cache
-from math import gcd
 
-from .errors import BadDegreeError, OutOfRangeError, ParseError, ReducibleModulusError
+from .errors import BadDegreeError, OutOfRangeError, ParseError, ReducibleModulusError, excerpt
 
 MAX_DEGREE = 16
 
@@ -134,12 +133,12 @@ class GF2m:
 
     def __init__(self, m: int, modulus: int):
         if not 1 <= m <= MAX_DEGREE:
-            raise BadDegreeError(f"extension degree must be in 1..{MAX_DEGREE}, got {m}")
+            raise BadDegreeError(f"extension degree must be in 1..{MAX_DEGREE}, got {excerpt(str(m))}")
         if modulus < 0:  # no bitmask: trial division of it would never end
-            raise BadDegreeError(f"modulus {modulus:#x} is negative")
+            raise BadDegreeError(f"modulus {excerpt(f'{modulus:#x}')} is negative")
         if poly_degree(modulus) != m:
             raise BadDegreeError(
-                f"modulus {modulus:#x} has degree {poly_degree(modulus)}, expected {m}"
+                f"modulus {excerpt(f'{modulus:#x}')} has degree {poly_degree(modulus)}, expected {m}"
             )
         if modulus & 1 == 0:
             raise ReducibleModulusError(f"modulus {modulus:#x} is reducible: divisible by x")
@@ -168,13 +167,6 @@ class GF2m:
 
     # -- arithmetic
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Characteristic-2 addition is xor; also serves as subtraction."""
-        return a ^ b
-
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         """Product (a*b) mod modulus."""
         if a == 0 or b == 0:
@@ -201,22 +193,6 @@ class GF2m:
             self._load_tables()
         return self._exp[self.q - 1 - self._log[a]]
 
-    # -- multiplicative structure
-
-    def is_primitive(self, a: int) -> bool:
-        """True iff a generates the multiplicative group: gcd(log a, q-1) = 1."""
-        if a == 0:
-            return False
-        if self._exp is None:
-            self._load_tables()
-        return gcd(self._log[a], self.q - 1) == 1
-
-    def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group: the tables' base."""
-        if self._exp is None:
-            self._load_tables()
-        return self._exp[1]
-
     # -- parsing and formatting
 
     def parse(self, text: str) -> int:
@@ -231,18 +207,18 @@ class GF2m:
         if "(" in s:
             head, _, tail = s.partition("(")
             if not tail.endswith(")") or "(" in tail:  # one level: no recursion to exhaust
-                raise ParseError(f"unbalanced or nested parentheses in {text!r}")
+                raise ParseError(f"unbalanced or nested parentheses in {excerpt(repr(text))}")
             v1 = self.parse(head)
             v2 = self.parse(tail[:-1])
             if v1 != v2:
-                raise ParseError(f"hex and polynomial parts of {text!r} disagree")
+                raise ParseError(f"hex and polynomial parts of {excerpt(repr(text))} disagree")
             return v1
         if s[:2].lower() == "0x":
             if not _HEX_LITERAL.match(s):
-                raise ParseError(f"bad hex literal {s!r}")
+                raise ParseError(f"bad hex literal {excerpt(repr(s))}")
             value = int(s, 16)
             if value >= self.q:
-                raise OutOfRangeError(f"{s} does not fit in GF(2^{self.m})")
+                raise OutOfRangeError(f"{excerpt(s)} does not fit in GF(2^{self.m})")
             return value
         return self._parse_poly(s)
 
@@ -251,7 +227,7 @@ class GF2m:
         for pos, term in enumerate(t.strip() for t in s.split("+")):
             match = _POLY_TERM.match(term)
             if match is None:
-                raise ParseError(f"bad term {term!r} at position {pos}")
+                raise ParseError(f"bad term {excerpt(repr(term))} at position {pos}")
             if term == "0":
                 continue
             if term == "1":
@@ -265,7 +241,7 @@ class GF2m:
             degree = int(digits)
             if degree >= self.m:
                 raise OutOfRangeError(
-                    f"term {term!r} has degree {degree}, field degree is {self.m}"
+                    f"term {excerpt(repr(term))} has degree {degree}, field degree is {self.m}"
                 )
             mask ^= 1 << degree
         return mask

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .circulant import CyclicSpec, GCirculantSpec
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, excerpt
 from .field import GF2m
 from .matrix import Matrix, Permutation
 from .properties import DiagonalPair, PropertyReport
@@ -34,7 +34,7 @@ def _typed(value, key: str, types: tuple, what: str, error=ConfigError):
     key: JSON values are checked, never coerced, so true is no integer and
     2.7 is not 2."""
     if type(value) not in types:
-        raise error(f"{key!r} must be {what}, got {value!r}")
+        raise error(f"{key!r} must be {what}, got {excerpt(repr(value))}")
     return value
 
 
@@ -71,13 +71,13 @@ def _member(value, key: str, enum):
         return enum(value)
     except ValueError:
         allowed = ", ".join(member.value for member in enum)
-        raise ConfigError(f"{key!r} must be one of {allowed}, got {value!r}") from None
+        raise ConfigError(f"{key!r} must be one of {allowed}, got {excerpt(repr(value))}") from None
 
 
 def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
     unknown = sorted(obj.keys() - keys)
     if unknown:
-        raise ConfigError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+        raise ConfigError(f"unknown {where} key {excerpt(', '.join(map(repr, unknown)))}")
 
 
 def field_to_json(ctx: GF2m) -> dict:
@@ -88,7 +88,7 @@ def field_from_json(obj) -> GF2m:
     """Read a field block; `m` must be an integer and `poly` a hex string
     or an integer."""
     if not isinstance(obj, dict) or not {"m", "poly"} <= obj.keys():
-        raise ParseError(f"field block needs keys 'm' and 'poly', got {obj!r}")
+        raise ParseError(f"field block needs keys 'm' and 'poly', got {excerpt(repr(obj))}")
     poly = obj["poly"]
     if type(poly) is str and _HEX_NUMBER.match(poly):
         poly = int(poly, 16)

@@ -7,7 +7,7 @@ first-nonzero pivoting (row swaps carry no sign in characteristic 2).
 
 from __future__ import annotations
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, SingularMatrixError, excerpt
 from .field import GF2m
 
 MAX_DIM = 64
@@ -164,12 +164,7 @@ class Matrix:
 
 
 class Permutation:
-    """A bijection on {0..k-1}; images[i] = sigma(i).
-
-    Matrix convention: to_matrix(p)[i, p(i)] = 1, so matrix products
-    compose left to right: to_matrix(p) @ to_matrix(q) encodes
-    "apply p, then q".
-    """
+    """A bijection on {0..k-1}; images[i] = sigma(i)."""
 
     __slots__ = ("images",)
 
@@ -177,12 +172,8 @@ class Permutation:
         images = tuple(images)
         k = len(images)
         if sorted(images) != list(range(k)):
-            raise ValueError(f"not a bijection on 0..{k - 1}: {list(images)}")
+            raise ValueError(f"not a bijection on 0..{k - 1}: {excerpt(str(list(images)))}")
         self.images = images
-
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(range(k))
 
     @property
     def size(self) -> int:
@@ -200,28 +191,11 @@ class Permutation:
     def __repr__(self):
         return f"Permutation({list(self.images)})"
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Apply self first, then other."""
-        if other.size != self.size:
-            raise DimensionError("size mismatch")
-        return Permutation(other.images[i] for i in self.images)
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for i, img in enumerate(self.images):
             inv[img] = i
         return Permutation(inv)
-
-    def __pow__(self, e: int) -> "Permutation":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = Permutation.identity(self.size)
-        while e:
-            if e & 1:
-                out = out.compose(base)
-            base = base.compose(base)
-            e >>= 1
-        return out
 
     def orbit(self, start: int) -> list[int]:
         """The cycle through start: start, sigma(start), sigma^2(start), ..."""
@@ -235,7 +209,3 @@ class Permutation:
     def is_k_cycle(self) -> bool:
         """True iff the permutation is one cycle covering all k points."""
         return len(self.orbit(0)) == self.size
-
-    def to_matrix(self, ctx: GF2m) -> Matrix:
-        k = self.size
-        return Matrix(ctx, [[1 if j == self.images[i] else 0 for j in range(k)] for i in range(k)])

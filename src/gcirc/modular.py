@@ -1,6 +1,5 @@
-"""Integer-side number theory: gcd, modular inverse, complete residue
-systems, and the solution set of x^2 = 1 (mod k) together with its
-count law.
+"""Integer-side number theory: modular inverse, and the solution set of
+x^2 = 1 (mod k) together with its count law.
 
 The direct scan over 1..k-1 is the authoritative solver; the count
 formula (2^l / 2^(l+1) / 2^(l+2) depending on the power of two in k)
@@ -10,7 +9,6 @@ cap the CRT path takes over.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -19,8 +17,6 @@ from .errors import NotCoprimeError, SpaceTooLargeError
 MAX_MODULUS = 1 << 32
 SCAN_CAP = 1 << 20
 
-gcd = math.gcd
-
 
 def mod_inverse(g: int, k: int) -> int:
     """The h in 0..k-1 with g*h = 1 (mod k)."""
@@ -28,11 +24,6 @@ def mod_inverse(g: int, k: int) -> int:
         return pow(g, -1, k)
     except ValueError:
         raise NotCoprimeError(f"{g} is not invertible mod {k}") from None
-
-
-def is_complete_residue_system(g: int, k: int) -> bool:
-    """True iff {a*g mod k : a = 0..k-1} covers every residue class."""
-    return len({a * g % k for a in range(k)}) == k
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -1,7 +1,7 @@
-"""MDS and involutory checks, detection of semi-involutory and
-semi-orthogonal structure with diagonal-pair recovery, and a lazy full
-report: each check runs the first time its field is read, at most once,
-and involutory, orthogonal and both detections share one inverse.
+"""The MDS check, detection of semi-involutory and semi-orthogonal
+structure with diagonal-pair recovery, and a lazy full report: each
+check runs the first time its field is read, at most once, and
+involutory, orthogonal and both detections share one inverse.
 
 A matrix A is semi-involutory when D1 * A * D2 = A^{-1} for some
 nonsingular diagonal matrices, and semi-orthogonal when
@@ -159,22 +159,6 @@ def _minor_plan(k: int, size: int):
     return sets, subs, expansions
 
 
-def is_involutory(a: Matrix) -> bool:
-    """A @ A = I, decided entrywise with early exit."""
-    if not a.is_square:
-        return False
-    ctx, k, e = a.ctx, a.rows, a.entries
-    for i in range(k):
-        for j in range(k):
-            acc = 0
-            for t in range(k):
-                if e[i][t] and e[t][j]:
-                    acc ^= ctx.mul(e[i][t], e[t][j])
-            if acc != (1 if i == j else 0):
-                return False
-    return True
-
-
 def _solve_diagonal_sandwich(a: Matrix, b: Matrix) -> DiagonalPair | None:
     """The anchored pair with d1[i]*A[i,j]*d2[j] = B[i,j] for all i, j,
     or None when no pair exists.
@@ -255,8 +239,8 @@ def left_circulant_involutory_conditions(ctx: GF2m, row) -> bool:
 
     True iff the row sums to 1 and, with g = k-1, the convolution
     sum over g*i + j = l (mod k) vanishes for l = 1..floor((k-1)/2),
-    as square_is_identity decides. Equivalent to
-    is_involutory(build_left_circulant(ctx, row)).
+    as square_is_identity decides. Equivalent to A @ A = I for
+    A = build_left_circulant(ctx, row).
     """
     row = tuple(row)
     return bool(row) and square_is_identity(GCirculantSpec(ctx, len(row), len(row) - 1, row))

@@ -4,7 +4,7 @@ The oracles deliberately avoid the package's code paths: field products
 by carry-less multiplication and reduction instead of log tables,
 determinants by Laplace expansion instead of Gaussian elimination,
 diagonal-pair search by exhaustive enumeration instead of ratio
-propagation.
+propagation, A @ A = I entrywise instead of the square law.
 """
 
 from __future__ import annotations
@@ -126,6 +126,27 @@ def sandwich_pair_exists(a: Matrix, b: Matrix) -> bool:
         if all(bool(m[i, j]) == (i == j) for i in range(k) for j in range(k)):
             return True
     return False
+
+
+def is_involutory(a: Matrix) -> bool:
+    """A @ A = I, decided entrywise with early exit."""
+    if not a.is_square:
+        return False
+    ctx, k, e = a.ctx, a.rows, a.entries
+    for i in range(k):
+        for j in range(k):
+            acc = 0
+            for t in range(k):
+                if e[i][t] and e[t][j]:
+                    acc ^= ctx.mul(e[i][t], e[t][j])
+            if acc != (1 if i == j else 0):
+                return False
+    return True
+
+
+def perm_matrix(ctx: GF2m, images) -> Matrix:
+    """The permutation matrix with P[i, images[i]] = 1."""
+    return Matrix(ctx, [[1 if j == img else 0 for j in range(len(images))] for img in images])
 
 
 def random_row(rng: random.Random, ctx: GF2m, k: int, nonzero: bool = False) -> tuple[int, ...]:

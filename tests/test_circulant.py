@@ -1,6 +1,6 @@
 """Circulant family: constructors, the factoring A = Q_g * circ(c), the
 shift laws for products, inverses and transposes, structured squares,
-and the cyclic-to-circulant equivalence."""
+the cyclic-to-circulant equivalence and the left-circulant minors."""
 
 import random
 from itertools import product
@@ -20,17 +20,11 @@ from gcirc import (
     build_cyclic,
     build_g_circulant,
     build_left_circulant,
-    cyclic_to_circulant,
-    detect_g_circulant,
-    g_shift_cycle,
-    left_circulant_submatrices,
-    rotation_perm,
-    satisfies_shift,
     shifted_convolution,
     square_is_identity,
     square_structured,
 )
-from conftest import random_row, random_spec
+from conftest import perm_matrix, random_row, random_spec
 
 PAPER_ROW_STRS = ("1", "a", "1+a+a^4+a^5+a^7", "1+a+a^3+a^4+a^5+a^7", "a+a^3")
 
@@ -65,7 +59,7 @@ class TestBuilders:
 
     def test_unit_row_gives_rotation_matrix(self, gf16):
         p = build_circulant(gf16, (0, 1, 0, 0, 0))
-        assert p == rotation_perm(5).to_matrix(gf16)
+        assert p == perm_matrix(gf16, [(i + 1) % 5 for i in range(5)])
 
     def test_g_reduced_mod_k(self, gf16):
         s = GCirculantSpec(gf16, 5, 8, (1, 2, 3, 4, 5))
@@ -82,7 +76,7 @@ class TestCyclic:
         rng = random.Random(20)
         for k in (1, 2, 3, 5, 7):
             row = random_row(rng, gf16, k)
-            spec = CyclicSpec(gf16, k, g_shift_cycle(k, 1), row)
+            spec = CyclicSpec(gf16, k, Permutation((i + 1) % k for i in range(k)), row)
             assert build_cyclic(spec) == build_circulant(gf16, row)
 
     def test_backward_cycle_gives_left_circulant(self, gf16):
@@ -100,25 +94,28 @@ class TestCyclic:
                 if gcd(g, k) != 1:
                     continue
                 row = random_row(rng, gf16, k)
-                cyc = build_cyclic(CyclicSpec(gf16, k, g_shift_cycle(k, g), row))
+                rho = Permutation((i + g) % k for i in range(k))
+                cyc = build_cyclic(CyclicSpec(gf16, k, rho, row))
                 assert cyc == build_g_circulant(GCirculantSpec(gf16, k, g, row))
 
     def test_non_k_cycle_rejected(self, gf16):
         with pytest.raises(NotKCycleError):
             CyclicSpec(gf16, 4, Permutation([1, 0, 3, 2]), (1, 2, 3, 4))
 
-    def test_g_shift_cycle_orbit(self):
-        assert g_shift_cycle(5, 3).orbit(0) == [0, 3, 1, 4, 2]
-        assert g_shift_cycle(6, 1).orbit(0) == [0, 1, 2, 3, 4, 5]
-
-    def test_g_shift_cycle_not_coprime(self):
-        with pytest.raises(NotCoprimeError):
-            g_shift_cycle(4, 2)
-
-
 def unit_shift(ctx, k, g):
     """Q_g: the g-circulant with first row (1, 0, ..., 0)."""
     return build_g_circulant(GCirculantSpec(ctx, k, g, (1,) + (0,) * (k - 1)))
+
+
+def rotation_power(ctx, k, g):
+    """P^g = circ(e_g), with P = circ(0, 1, 0, ..., 0)."""
+    return build_circulant(ctx, [int(j == g % k) for j in range(k)])
+
+
+def satisfies_shift(m, g):
+    """The shift relation A[i, j] = A[i+1, j+g], indices mod k."""
+    k = m.rows
+    return all(m[i, j] == m[(i + 1) % k, (j + g) % k] for i in range(k) for j in range(k))
 
 
 class TestPermutationRepresentation:
@@ -128,7 +125,7 @@ class TestPermutationRepresentation:
         rng = random.Random(23)
         row = random_row(rng, gf16, 6)
         assert unit_shift(gf16, 6, 1) == Matrix.identity(gf16, 6)
-        assert build_circulant(gf16, (0, 1, 0, 0, 0, 0)) == rotation_perm(6).to_matrix(gf16)
+        assert build_circulant(gf16, (0, 1, 0, 0, 0, 0)) == perm_matrix(gf16, [1, 2, 3, 4, 5, 0])
         assert build_g_circulant(GCirculantSpec(gf16, 6, 1, row)) == build_circulant(gf16, row)
 
     def test_reconstruction_equals_direct(self, paper_spec, gf16):
@@ -141,7 +138,7 @@ class TestPermutationRepresentation:
     def test_unit_row_reconstructs_qg(self, gf16):
         # Q_g is the permutation i -> i*g mod k
         for k, g in ((5, 2), (7, 3), (8, 5)):
-            q = Permutation([i * g % k for i in range(k)]).to_matrix(gf16)
+            q = perm_matrix(gf16, [i * g % k for i in range(k)])
             assert unit_shift(gf16, k, g) == q
 
     def test_requires_coprime(self, gf16):
@@ -155,61 +152,25 @@ class TestPermutationRepresentation:
     def test_pq_g_commutation(self, gf16):
         # P Q_g = Q_g P^g for every coprime shift
         for k in range(2, 9):
-            p = rotation_perm(k).to_matrix(gf16)
+            p = rotation_power(gf16, k, 1)
             for g in range(1, k):
                 if gcd(g, k) != 1:
                     continue
                 qg = unit_shift(gf16, k, g)
-                pg = (rotation_perm(k) ** g).to_matrix(gf16)
+                pg = rotation_power(gf16, k, g)
                 assert p @ qg == qg @ pg
 
 
-class TestDetect:
-    def test_round_trip_with_distinct_rows(self, ctx165):
-        rng = random.Random(25)
-        for _ in range(30):
-            k = rng.randrange(2, 8)
-            row = tuple(rng.sample(range(ctx165.q), k))  # distinct entries
-            g = rng.choice([g for g in range(1, k) if gcd(g, k) == 1])
-            found = detect_g_circulant(build_g_circulant(GCirculantSpec(ctx165, k, g, row)))
-            assert found is not None
-            assert found == (g, row)
-
+class TestShiftRelation:
     def test_shift_relation_and_pa_identity(self, gf16):
         rng = random.Random(26)
         for _ in range(30):
             spec = random_spec(rng, gf16, rng.randrange(1, 8))
             a = build_g_circulant(spec)
             assert satisfies_shift(a, spec.g)
-            p = rotation_perm(spec.k).to_matrix(gf16)
-            pg = (rotation_perm(spec.k) ** spec.g).to_matrix(gf16)
+            p = rotation_power(gf16, spec.k, 1)
+            pg = rotation_power(gf16, spec.k, spec.g)
             assert p @ a == a @ pg
-
-    def test_constant_matrix_detects_g0(self, gf16):
-        a = Matrix(gf16, [[5] * 3 for _ in range(3)])
-        assert detect_g_circulant(a) == (0, (5, 5, 5))
-
-    def test_random_matrix_rejected(self, ctx165):
-        rng = random.Random(27)
-        rejected = 0
-        for _ in range(20):
-            entries = [[rng.randrange(ctx165.q) for _ in range(4)] for _ in range(4)]
-            if detect_g_circulant(Matrix(ctx165, entries)) is None:
-                rejected += 1
-        assert rejected >= 19  # collision odds are negligible at q = 256
-
-    def test_relation_implies_detection(self, gf16):
-        # any matrix satisfying the g-shift relation is a g-circulant
-        rng = random.Random(28)
-        for _ in range(20):
-            k = rng.randrange(2, 7)
-            g = rng.choice([g for g in range(k) if gcd(g, k) == 1])
-            row = random_row(rng, gf16, k)
-            a = build_g_circulant(GCirculantSpec(gf16, k, g, row))
-            found = detect_g_circulant(a)
-            assert found is not None
-            g_found, row_found = found
-            assert build_g_circulant(GCirculantSpec(gf16, k, g_found, row_found)) == a
 
 
 class TestStructuredSquare:
@@ -361,22 +322,28 @@ class TestShiftLaws:
             self.assert_g_circulant(build_g_circulant(spec).transpose(), spec.k, g_inv)
 
 
+def liu_sim_q(ctx, rho):
+    """Q[i, j] = 1 iff i = rho^j(0), which makes cyclic(c) @ Q the circulant
+    with first row (c_0, c_{rho(0)}, c_{rho^2(0)}, ...)."""
+    return perm_matrix(ctx, rho.orbit(0)).transpose()
+
+
 class TestCyclicToCirculant:
     def test_rotation_gives_identity_q(self, gf16):
         rng = random.Random(35)
         row = random_row(rng, gf16, 6)
-        spec = CyclicSpec(gf16, 6, g_shift_cycle(6, 1), row)
-        q, circ_row = cyclic_to_circulant(spec)
-        assert q == Permutation.identity(6)
-        assert circ_row == row
+        rho = Permutation((i + 1) % 6 for i in range(6))
+        assert liu_sim_q(gf16, rho) == Matrix.identity(gf16, 6)
+        assert tuple(row[node] for node in rho.orbit(0)) == row
 
     def test_left_circulant_reverses_tail(self, gf16):
         rng = random.Random(36)
         k = 6
         row = random_row(rng, gf16, k)
         rho = Permutation((i - 1) % k for i in range(k))
-        _, circ_row = cyclic_to_circulant(CyclicSpec(gf16, k, rho, row))
-        assert circ_row == (row[0],) + tuple(reversed(row[1:]))
+        circ_row = (row[0],) + tuple(reversed(row[1:]))
+        cyc = build_cyclic(CyclicSpec(gf16, k, rho, row))
+        assert cyc @ liu_sim_q(gf16, rho) == build_circulant(gf16, circ_row)
 
     def test_matrix_identity_and_q_inverse(self, gf16):
         rng = random.Random(37)
@@ -390,9 +357,9 @@ class TestCyclicToCirculant:
             rho = Permutation(images)
             row = random_row(rng, gf16, k)
             spec = CyclicSpec(gf16, k, rho, row)
-            q, circ_row = cyclic_to_circulant(spec)
+            circ_row = tuple(row[node] for node in rho.orbit(0))
             c = build_cyclic(spec)
-            qm = q.to_matrix(gf16)
+            qm = liu_sim_q(gf16, rho)
             assert c @ qm == build_circulant(gf16, circ_row)
             assert qm @ qm.transpose() == Matrix.identity(gf16, k)
             unit = (1,) + (0,) * (k - 1)
@@ -400,32 +367,25 @@ class TestCyclicToCirculant:
 
 
 class TestLeftCirculantSubmatrices:
+    """Even rows of a (2^{d-1}-1)-circulant of order 2^d by its even columns
+    give left-circulant(c_0, c_2, ...), by its odd columns
+    left-circulant(c_1, c_3, ...)."""
+
     def test_d2_extraction(self, gf16):
         row = (1, 2, 3, 4)
-        spec = GCirculantSpec(gf16, 4, 1, row)  # g = 2^(d-1) - 1 = 1
-        even, odd = left_circulant_submatrices(spec)
-        assert even == build_left_circulant(gf16, (1, 3))
-        assert odd == build_left_circulant(gf16, (2, 4))
+        a = build_g_circulant(GCirculantSpec(gf16, 4, 1, row))  # g = 2^(d-1) - 1 = 1
+        assert a.submatrix([0, 2], [0, 2]) == build_left_circulant(gf16, (1, 3))
+        assert a.submatrix([0, 2], [1, 3]) == build_left_circulant(gf16, (2, 4))
 
     def test_d3_extraction(self, ctx165):
         rng = random.Random(38)
         row = random_row(rng, ctx165, 8)
-        spec = GCirculantSpec(ctx165, 8, 3, row)
-        even, odd = left_circulant_submatrices(spec)
+        a = build_g_circulant(GCirculantSpec(ctx165, 8, 3, row))
+        evens, odds = [0, 2, 4, 6], [1, 3, 5, 7]
+        even = a.submatrix(evens, evens)
         assert even == build_left_circulant(ctx165, row[0::2])
-        assert odd == build_left_circulant(ctx165, row[1::2])
+        assert a.submatrix(evens, odds) == build_left_circulant(ctx165, row[1::2])
         assert satisfies_shift(even, 3)  # left-circulant of order 4 has g = 3
-
-    def test_all_ones(self, gf16):
-        spec = GCirculantSpec(gf16, 4, 1, (1, 1, 1, 1))
-        even, odd = left_circulant_submatrices(spec)
-        assert even == odd == Matrix(gf16, [[1, 1], [1, 1]])
-
-    def test_guards(self, gf16):
-        with pytest.raises(Exception):
-            left_circulant_submatrices(GCirculantSpec(gf16, 6, 1, (1,) * 6))
-        with pytest.raises(Exception):
-            left_circulant_submatrices(GCirculantSpec(gf16, 8, 5, (1,) * 8))
 
 
 class TestConvolution:

@@ -775,6 +775,16 @@ class TestUsageErrors:
         code, out, err = run(capsys, [str(path) if a == "JOB" else a for a in argv])
         assert (code, out, err) == (2, "", f"error: {line}\n")
 
+    def test_long_input_excerpted(self, capsys, tmp_path):
+        # the message names a long literal or value by its head and length
+        path = tmp_path / "check.json"
+        path.write_text(json.dumps({"k": 2, "g": 1, "row": ["0x1", "0x0"], "field": {"m": "1" * 100000, "poly": "0x7"}}))
+        for argv in (FIELD_165 + ["build", "--k", "2", "--g", "1", "--row", "1", "0x" + "f" * 5000],
+                     ["check", str(path)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out, err.count("\n")) == (2, "", 1)
+            assert err.startswith("error: ") and len(err.encode()) <= 200, err[:300]
+
 
 class TestFormatting:
     def test_text_build(self, capsys):

@@ -1,4 +1,4 @@
-"""Integer number theory: gcd, modular inverse, residue systems, x^2 = 1."""
+"""Integer number theory: modular inverse, factorization, x^2 = 1."""
 
 import math
 
@@ -8,8 +8,6 @@ from gcirc import (
     NotCoprimeError,
     crt_sqrt_one_solutions,
     factorize,
-    gcd,
-    is_complete_residue_system,
     mod_inverse,
     predicted_sqrt_one_count,
     sqrt_one_solutions,
@@ -20,7 +18,6 @@ class TestGcdInverse:
     def test_examples(self):
         assert mod_inverse(3, 5) == 2
         assert mod_inverse(1, 7) == 1
-        assert gcd(4, 8) == 4
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprimeError):
@@ -33,18 +30,6 @@ class TestGcdInverse:
                     continue
                 h = mod_inverse(g, k)
                 assert [x for x in range(k) if g * x % k == 1] == [h]
-
-
-class TestCompleteResidueSystem:
-    def test_examples(self):
-        assert is_complete_residue_system(3, 5)
-        assert not is_complete_residue_system(2, 4)
-        assert is_complete_residue_system(1, 9)
-
-    def test_equivalent_to_coprimality(self):
-        for k in range(1, 31):
-            for g in range(k):
-                assert is_complete_residue_system(g, k) == (math.gcd(g, k) == 1)
 
 
 class TestFactorize:

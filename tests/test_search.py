@@ -27,13 +27,12 @@ from gcirc import (
     build_g_circulant,
     build_left_circulant,
     full_report,
-    is_involutory,
     run_search,
     target_satisfied,
 )
 from gcirc.jsonio import job_from_json, job_to_json, result_to_json
 from gcirc.search import job_part
-from conftest import diagonal, elimination_mds, sandwich_pair_exists, schoolbook_pow
+from conftest import diagonal, elimination_mds, is_involutory, sandwich_pair_exists, schoolbook_pow
 
 # every candidate of the three exhaustive spaces; the GF(2^4), k = 3
 # sample adds non-symmetric g-circulants, on which involutory and
