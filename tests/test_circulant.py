@@ -102,6 +102,20 @@ class TestCyclic:
         with pytest.raises(NotKCycleError):
             CyclicSpec(gf16, 4, Permutation([1, 0, 3, 2]), (1, 2, 3, 4))
 
+    def test_g_shift_cycle_orbit(self):
+        # i -> i + g walks 0, g, 2g, ... mod k
+        assert Permutation((i + 3) % 5 for i in range(5)).orbit(0) == [0, 3, 1, 4, 2]
+        assert Permutation((i + 1) % 6 for i in range(6)).orbit(0) == [0, 1, 2, 3, 4, 5]
+
+    def test_g_shift_cycle_not_coprime(self, gf16):
+        # i -> i + g is a k-cycle exactly when gcd(g, k) = 1
+        for k in range(1, 13):
+            for g in range(k):
+                assert Permutation((i + g) % k for i in range(k)).is_k_cycle() == (gcd(g, k) == 1)
+        with pytest.raises(NotKCycleError):
+            CyclicSpec(gf16, 4, Permutation((i + 2) % 4 for i in range(4)), (1, 2, 3, 4))
+
+
 def unit_shift(ctx, k, g):
     """Q_g: the g-circulant with first row (1, 0, ..., 0)."""
     return build_g_circulant(GCirculantSpec(ctx, k, g, (1,) + (0,) * (k - 1)))
@@ -171,6 +185,43 @@ class TestShiftRelation:
             p = rotation_power(gf16, spec.k, 1)
             pg = rotation_power(gf16, spec.k, spec.g)
             assert p @ a == a @ pg
+
+    def test_round_trip_with_distinct_rows(self, ctx165):
+        # with distinct entries the relation holds for g alone, and row 0 is the row
+        rng = random.Random(25)
+        for _ in range(30):
+            k = rng.randrange(2, 8)
+            row = tuple(rng.sample(range(ctx165.q), k))
+            g = rng.choice([g for g in range(1, k) if gcd(g, k) == 1])
+            a = build_g_circulant(GCirculantSpec(ctx165, k, g, row))
+            assert [h for h in range(k) if satisfies_shift(a, h)] == [g]
+            assert a.entries[0] == row
+
+    def test_constant_matrix_detects_g0(self, gf16):
+        a = Matrix(gf16, [[5] * 3 for _ in range(3)])
+        assert a == build_g_circulant(GCirculantSpec(gf16, 3, 0, (5, 5, 5)))
+        assert all(satisfies_shift(a, g) for g in range(3))
+
+    def test_random_matrix_rejected(self, ctx165):
+        rng = random.Random(27)
+        rejected = 0
+        for _ in range(20):
+            a = Matrix(ctx165, [[rng.randrange(ctx165.q) for _ in range(4)] for _ in range(4)])
+            rejected += all(build_g_circulant(GCirculantSpec(ctx165, 4, g, a.entries[0])) != a for g in range(4))
+        assert rejected >= 19  # collision odds are negligible at q = 256
+
+    def test_relation_implies_detection(self, gf16):
+        # rows filled from row 0 by A[i+1, j+g] = A[i, j] give the g-circulant of row 0
+        rng = random.Random(28)
+        for _ in range(20):
+            k = rng.randrange(2, 7)
+            g = rng.choice([g for g in range(k) if gcd(g, k) == 1])
+            rows = [random_row(rng, gf16, k)]
+            for _ in range(k - 1):
+                rows.append([rows[-1][(j - g) % k] for j in range(k)])
+            a = Matrix(gf16, rows)
+            assert satisfies_shift(a, g)
+            assert a == build_g_circulant(GCirculantSpec(gf16, k, g, rows[0]))
 
 
 class TestStructuredSquare:
@@ -386,6 +437,25 @@ class TestLeftCirculantSubmatrices:
         assert even == build_left_circulant(ctx165, row[0::2])
         assert a.submatrix(evens, odds) == build_left_circulant(ctx165, row[1::2])
         assert satisfies_shift(even, 3)  # left-circulant of order 4 has g = 3
+
+    def test_all_ones(self, gf16):
+        a = build_g_circulant(GCirculantSpec(gf16, 4, 1, (1, 1, 1, 1)))
+        ones = Matrix(gf16, [[1, 1], [1, 1]])
+        assert a.submatrix([0, 2], [0, 2]) == a.submatrix([0, 2], [1, 3]) == ones
+
+    def test_guards(self, ctx165):
+        # for any odd g the minors are the (g mod k/2)-circulants of the even and
+        # odd entries, left-circulants only when g = -1 (mod k/2)
+        rng = random.Random(40)
+        for k in (4, 8, 16):
+            row = random_row(rng, ctx165, k)
+            evens, odds = list(range(0, k, 2)), list(range(1, k, 2))
+            for g in range(1, k, 2):
+                a = build_g_circulant(GCirculantSpec(ctx165, k, g, row))
+                for cols, part in ((evens, row[0::2]), (odds, row[1::2])):
+                    minor = a.submatrix(evens, cols)
+                    assert minor == build_g_circulant(GCirculantSpec(ctx165, k // 2, g, part))
+                    assert (minor == build_left_circulant(ctx165, part)) == (g % (k // 2) == k // 2 - 1)
 
 
 class TestConvolution:

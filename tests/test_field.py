@@ -8,8 +8,10 @@ from gcirc import (
     BadDegreeError,
     GF2m,
     OutOfRangeError,
+    Matrix,
     ParseError,
     ReducibleModulusError,
+    factorize,
     is_irreducible,
 )
 from gcirc import jsonio
@@ -19,6 +21,15 @@ from conftest import schoolbook_mul, schoolbook_pow
 
 CONTEXT_PARAMS = [(8, 0x165), (8, 0x11D), (4, 0x13), (2, 0x7)]
 ORACLE_PARAMS = CONTEXT_PARAMS + [(1, 0x3), (16, 0x1002B)]
+
+
+def schoolbook_order(ctx, a):
+    """The multiplicative order of a != 0, walked with the schoolbook oracle."""
+    x, n = a, 1
+    while x != 1:
+        x = schoolbook_mul(ctx, x, a)
+        n += 1
+    return n
 
 
 class TestConstruction:
@@ -74,6 +85,13 @@ class TestConstruction:
 
 
 class TestAddMul:
+    def test_add_examples(self, ctx165):
+        # addition is xor of coefficient vectors, as Matrix.__add__ does it entrywise
+        assert ctx165.parse("1+a") == 0x03 and ctx165.parse("1+a+a^3+a^4") == 0x1B
+        a = Matrix(ctx165, [[0x05, 0x02, 0x1B]])
+        b = Matrix(ctx165, [[0x05, 0x01, 0x0D]])
+        assert a + b == Matrix(ctx165, [[0x00, 0x03, 0x16]])
+
     def test_mul_one_step_reduction(self, ctx165, ctx11d, gf4):
         assert ctx11d.mul(0x02, 0x80) == 0x1D
         assert ctx165.mul(0x02, 0x80) == 0x65
@@ -158,6 +176,39 @@ class TestPowInv:
 
 
 class TestPrimitivity:
+    def test_examples(self, gf4, gf16):
+        # a = 0x02 generates GF(4)* and GF(16)*; 1 generates only itself
+        assert schoolbook_order(gf4, 0x02) == 3 and schoolbook_order(gf4, 0x01) == 1
+        assert schoolbook_order(gf16, 0x02) == 15
+        assert _tables(2, 0x7)[0][1] == _tables(4, 0x13)[0][1] == 0x02
+
+    def test_paper_generators_are_primitive(self, ctx165, ctx11d):
+        # both paper moduli are primitive: a has order 255, so a^(255/p) != 1
+        for ctx in (ctx165, ctx11d):
+            assert schoolbook_order(ctx, 0x02) == 255
+            assert all(ctx.pow(0x02, 255 // p) != 1 for p in (3, 5, 17))
+            assert _tables(8, ctx.modulus)[0][1] == 0x02
+
+    def test_primitive_count_matches_totient(self, gf16, ctx165):
+        # phi(15) = 8 generators in GF(16)*, phi(255) = 128 in GF(256)*; the
+        # prime-divisor test through ctx.pow agrees with each walked order
+        for ctx, count in ((gf16, 8), (ctx165, 128)):
+            n = ctx.q - 1
+            primes = [p for p, _ in factorize(n)]
+            generators = 0
+            for a in range(1, ctx.q):
+                by_pow = all(ctx.pow(a, n // p) != 1 for p in primes)
+                assert by_pow == (schoolbook_order(ctx, a) == n)
+                generators += by_pow
+            assert generators == count
+
+    def test_primitive_element(self, gf16, ctx165):
+        # ctx.pow's powers of the tables' generator run through every unit
+        for ctx in (gf16, ctx165):
+            gen = _tables(ctx.m, ctx.modulus)[0][1]
+            assert sorted(ctx.pow(gen, i) for i in range(ctx.q - 1)) == list(range(1, ctx.q))
+            assert ctx.pow(gen, ctx.q - 1) == 1
+
     @pytest.mark.parametrize("m, poly", ORACLE_PARAMS)
     def test_tables_match_schoolbook_walk(self, m, poly):
         # the generator is the smallest element of order q-1, found by walking

@@ -189,6 +189,31 @@ class TestSubmatrix:
 
 
 class TestPermutation:
+    def test_identity_matrix(self, gf16):
+        ident = Permutation(range(4))
+        assert perm_matrix(gf16, ident.images) == Matrix.identity(gf16, 4)
+        assert ident.inverse() == ident and ident.orbit(2) == [2]
+
+    def test_rotation_is_p_circulant(self, gf16):
+        k = 5
+        p = Permutation((i + 1) % k for i in range(k))
+        pm = perm_matrix(gf16, p.images)
+        assert pm == build_circulant(gf16, (0, 1, 0, 0, 0))
+        assert p.is_k_cycle()
+        power = pm
+        for _ in range(k - 1):
+            power = power @ pm
+        assert power == Matrix.identity(gf16, k)
+
+    def test_matrix_of_compose_is_product(self, gf16):
+        # P[i, p(i)] = 1, so P @ Q is the matrix of i -> q(p(i))
+        rng = random.Random(11)
+        for _ in range(50):
+            k = rng.randrange(1, 7)
+            p, q = rng.sample(range(k), k), rng.sample(range(k), k)
+            pq = perm_matrix(gf16, [q[p[i]] for i in range(k)])
+            assert perm_matrix(gf16, p) @ perm_matrix(gf16, q) == pq
+
     def test_orthogonality(self, gf16):
         rng = random.Random(12)
         for _ in range(30):

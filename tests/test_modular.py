@@ -1,4 +1,4 @@
-"""Integer number theory: modular inverse, factorization, x^2 = 1."""
+"""Integer number theory: modular inverse, residue systems, factorization, x^2 = 1."""
 
 import math
 
@@ -30,6 +30,28 @@ class TestGcdInverse:
                     continue
                 h = mod_inverse(g, k)
                 assert [x for x in range(k) if g * x % k == 1] == [h]
+
+
+class TestCompleteResidueSystem:
+    # i -> g*i mod k permutes 0..k-1 exactly when g has an inverse mod k
+
+    def test_examples(self):
+        assert [3 * i % 5 for i in range(5)] == [0, 3, 1, 4, 2] and mod_inverse(3, 5) == 2
+        assert [2 * i % 4 for i in range(4)] == [0, 2, 0, 2]
+        with pytest.raises(NotCoprimeError):
+            mod_inverse(2, 4)
+        assert mod_inverse(1, 9) == 1
+
+    def test_equivalent_to_coprimality(self):
+        for k in range(1, 31):
+            for g in range(k):
+                complete = len({g * i % k for i in range(k)}) == k
+                assert complete == (math.gcd(g, k) == 1)
+                if complete:
+                    assert g * mod_inverse(g, k) % k == 1 % k
+                else:
+                    with pytest.raises(NotCoprimeError):
+                        mod_inverse(g, k)
 
 
 class TestFactorize:
