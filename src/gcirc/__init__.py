@@ -9,6 +9,8 @@ from .circulant import (
     build_cyclic,
     build_g_circulant,
     build_left_circulant,
+    involutory_g_filter,
+    left_circulant_involutory_conditions,
     shifted_convolution,
     square_is_identity,
     square_structured,
@@ -44,9 +46,7 @@ from .properties import (
     detect_semi_orthogonal,
     diagonal_power_scalar,
     full_report,
-    involutory_g_filter,
     is_mds,
-    left_circulant_involutory_conditions,
     rescale_pair,
 )
 from .search import (

@@ -10,6 +10,7 @@ from .circulant import (
     build_circulant,
     build_g_circulant,
     build_left_circulant,
+    left_circulant_involutory_conditions,
     shifted_convolution,
     square_structured,
 )
@@ -19,7 +20,6 @@ from .properties import (
     detect_semi_involutory,
     detect_semi_orthogonal,
     is_mds,
-    left_circulant_involutory_conditions,
     rescale_pair,
 )
 

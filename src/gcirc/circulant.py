@@ -137,15 +137,27 @@ def square_structured(spec: GCirculantSpec):
     return g2, tuple(shifted_convolution(spec.ctx, spec.row, spec.g))
 
 
+def involutory_g_filter(g: int, k: int) -> bool:
+    """False (prune) iff g^2 != 1 (mod k), when no g-circulant of order k
+    can be involutory; True only means "not excluded"."""
+    return g * g % k == 1 % k
+
+
 @cache
-def _square_plan(k: int, g: int):
-    """square_is_identity's index sets: per fixed l, l = 0 first, the i
-    with (g+1)*i = l; per orbit {l, g*l}, the pairs with g*i + j = l."""
-    if g * g % k != 1 % k:
+def square_plan(k: int, g: int):
+    """The square law's plan for g^2 = 1 (mod k): (rules, orbits).
+
+    Each rule (i, others, target) is one fixed l = g*l, l = 0 first, with
+    a nonempty set {j : (g+1)*j = l}: i is its largest index and others
+    the rest, and the c_j over the set must sum to target (1 at l = 0,
+    else 0). Each orbit {l, g*l} with l < g*l lists the pairs (i, j)
+    with g*i + j = l, whose product sum must vanish."""
+    if not involutory_g_filter(g, k):
         raise ValueError(f"the square law needs g^2 = 1 (mod k), got g={g}, k={k}")
-    fixed = tuple(tuple(i for i in range(k) if (g + 1) * i % k == l) for l in range(k) if g * l % k == l)
+    fixed = [(l, [i for i in range(k) if (g + 1) * i % k == l]) for l in range(k) if g * l % k == l]
+    rules = tuple((fs[-1], tuple(fs[:-1]), int(l == 0)) for l, fs in fixed if fs)
     orbits = tuple(tuple((i, (l - g * i) % k) for i in range(k)) for l in range(k) if l < g * l % k)
-    return fixed, orbits
+    return rules, orbits
 
 
 def square_is_identity(spec: GCirculantSpec) -> bool:
@@ -158,12 +170,12 @@ def square_is_identity(spec: GCirculantSpec) -> bool:
     each other orbit {l, g*l} needs one product sum to vanish. Exits at
     the first failure."""
     row = spec.row
-    fixed, orbits = _square_plan(spec.k, spec.g)
-    for n, indices in enumerate(fixed):
-        acc = 0
-        for i in indices:
-            acc ^= row[i]
-        if acc != (1 if n == 0 else 0):
+    rules, orbits = square_plan(spec.k, spec.g)
+    for i, others, target in rules:
+        acc = row[i]
+        for j in others:
+            acc ^= row[j]
+        if acc != target:
             return False
     mul = spec.ctx.mul
     for pairs in orbits:
@@ -173,3 +185,11 @@ def square_is_identity(spec: GCirculantSpec) -> bool:
         if acc:
             return False
     return True
+
+
+def left_circulant_involutory_conditions(ctx: GF2m, row) -> bool:
+    """A @ A = I for A = build_left_circulant(ctx, row), by the square law
+    with g = k-1: the row sums to 1, and the product sum over
+    g*i + j = l (mod k) vanishes for l = 1..floor((k-1)/2)."""
+    row = tuple(row)
+    return bool(row) and square_is_identity(GCirculantSpec(ctx, len(row), len(row) - 1, row))

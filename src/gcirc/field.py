@@ -25,6 +25,7 @@ from array import array
 from functools import lru_cache
 
 from .errors import BadDegreeError, OutOfRangeError, ParseError, ReducibleModulusError, excerpt
+from .modular import factorize
 
 MAX_DEGREE = 16
 
@@ -97,15 +98,7 @@ def _tables(m: int, modulus: int) -> tuple:
     """
     q = 1 << m
     n = q - 1
-    primes, rest, p = [], n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
+    primes = [p for p, _ in factorize(n)]
     gen = next(
         g for g in range(1, q) if all(_pow_schoolbook(g, n // p, modulus) != 1 for p in primes)
     )

@@ -1,10 +1,10 @@
 """Integer-side number theory: modular inverse, and the solution set of
 x^2 = 1 (mod k) together with its count law.
 
-The direct scan over 1..k-1 is the authoritative solver; the count
-formula (2^l / 2^(l+1) / 2^(l+2) depending on the power of two in k)
-and a CRT reconstruction are independent cross-checks. Beyond the scan
-cap the CRT path takes over.
+At run time one path solves: a direct scan over 1..k-1 up to SCAN_CAP,
+CRT reconstruction above it. Either result must match the count formula
+(2^l / 2^(l+1) / 2^(l+2) depending on the power of two in k); the two
+paths are checked against each other only in the tests.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class SqrtOneSolutions:
 def sqrt_one_solutions(k: int) -> SqrtOneSolutions:
     """Solve x^2 = 1 (mod k); scanned below the cap, CRT-reconstructed above.
 
-    The scan result must match the count law; a mismatch raises, since it
+    The result must match the count law; a mismatch raises, since it
     would falsify the law the toolkit relies on.
     """
     if k < 2:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
-from .circulant import GCirculantSpec, square_is_identity
 from .errors import DimensionError, SingularMatrixError, SpaceTooLargeError
 from .field import GF2m
 from .matrix import Matrix
@@ -232,24 +231,6 @@ def rescale_pair(ctx: GF2m, pair: DiagonalPair, lam: int, k: int) -> DiagonalPai
     d1 = tuple(ctx.mul(lam, x) for x in pair.d1)
     d2 = tuple(ctx.mul(ilam, x) for x in pair.d2)
     return _scaled_pair(ctx, d1, d2, k)
-
-
-def left_circulant_involutory_conditions(ctx: GF2m, row) -> bool:
-    """Involutory test for left-circulant matrices from the first row alone.
-
-    True iff the row sums to 1 and, with g = k-1, the convolution
-    sum over g*i + j = l (mod k) vanishes for l = 1..floor((k-1)/2),
-    as square_is_identity decides. Equivalent to A @ A = I for
-    A = build_left_circulant(ctx, row).
-    """
-    row = tuple(row)
-    return bool(row) and square_is_identity(GCirculantSpec(ctx, len(row), len(row) - 1, row))
-
-
-def involutory_g_filter(g: int, k: int) -> bool:
-    """False (prune) iff g^2 != 1 (mod k), when no g-circulant of order k
-    can be involutory; True only means "not excluded"."""
-    return g * g % k == 1 % k
 
 
 def full_report(a: Matrix) -> PropertyReport:

@@ -5,12 +5,12 @@ matrices.
 Candidates are indexed by a single integer token over the flattened
 (g, row) space: rows enumerate as base-q numerals with c_0 most
 significant, g blocks in ascending order. That makes every job
-resumable, partitionable, and byte-for-byte deterministic. With pruning
-on, exact theorem filters drop candidates from the spec alone: whole g
-blocks before any row is built, and in an EXHAUSTIVE INVOLUTORY_MDS
-block every row the characteristic-2 square law's linear conditions
-reject, whose tokens the walk skips unbuilt. Every other candidate is
-decided by one lazy full_report, and a hit carries that same report.
+resumable, partitionable, and byte-for-byte deterministic. One stream,
+_candidates, decides which tokens get a full report: with pruning on,
+exact theorem filters drop candidates from the spec alone, whole g
+blocks before any row is built and, in an EXHAUSTIVE INVOLUTORY_MDS
+block, every row the characteristic-2 square law's linear rules reject
+without building it. A hit carries its candidate's one lazy full_report.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator
 
-from .circulant import GCirculantSpec, _square_plan, build_g_circulant, square_is_identity
+from .circulant import GCirculantSpec, build_g_circulant, involutory_g_filter, square_is_identity, square_plan
 from .errors import ConfigError, DimensionError, ResumeTokenError, SpaceTooLargeError
 from .field import GF2m
 from .matrix import MAX_DIM
-from .properties import PropertyReport, full_report, involutory_g_filter
+from .properties import PropertyReport, full_report
 from .properties import is_mds  # noqa: F401  # kept as gcirc.search.is_mds, a name the benchmark's tracer test asserts
 
 CANDIDATE_CAP = 1 << 24
@@ -181,7 +181,7 @@ def _hash_unit(salt: int, token: int) -> float:
 def target_satisfied(report: PropertyReport, target: Target) -> bool:
     """Read the report's fields cheapest first: the minor sweep runs last
     for the semi-* targets, and before the inverse for INVOLUTORY_MDS,
-    whose candidates already passed the structured-square filter."""
+    whose pruned candidates already passed square_is_identity."""
     if target is Target.INVOLUTORY_MDS:
         return report.mds and report.involutory
     if target is Target.SEMI_INVOLUTORY_MDS:
@@ -199,39 +199,22 @@ def _g_pruned(job: SearchJob, g: int) -> bool:
     power_of_two = job.prune_power_of_two and k >= 4 and k & (k - 1) == 0  # no involutory MDS of order 2^d
     if power_of_two or not involutory_g_filter(g, k):
         return True
-    # a fixed set at l != 0 holding one index forces it to 0 (exactly g = 1 with odd k > 1)
-    return any(len(indices) == 1 for indices in _square_plan(k, g)[0][1:])
-
-
-def _row_pruned(job: SearchJob, spec: GCirculantSpec) -> bool:
-    """True when an exact theorem filter rules out the row of a g that passed
-    _g_pruned. A constrained row is not squared here: run_search squares
-    the rows that pass as its membership check."""
-    if 0 in spec.row:
-        return True  # MDS needs every entry nonzero
-    return (
-        job.target is Target.INVOLUTORY_MDS
-        and job.row_space.kind is not RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
-        and not square_is_identity(spec)
-    )
+    # a rule that sums one index to 0 forces that entry to 0 (exactly g = 1 with odd k > 1)
+    return any(not others and not target for _, others, target in square_plan(k, g)[0])
 
 
 def _admitted_rows(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(ordinal, row) in ascending order for the EXHAUSTIVE rows in ordinals
-    [lo, hi) with no zero entry that meet square_is_identity's linear
-    conditions: the sum over each fixed set of _square_plan(k, g) is 1 at
-    l = 0 and 0 elsewhere.
+    [lo, hi) with no zero entry that meet the linear rules of
+    square_plan(k, g).
 
-    The fixed sets partition the indices, and each nonempty one
-    determines its largest index from its others, which are free. Free
-    digits run over 1..q-1 with the lowest index most significant, and a
-    determined digit depends only on lower indices, so the rank of the
-    free digits orders the rows by ordinal; the window start is found by
-    bisecting that rank. A row whose determined digit is 0 is dropped."""
+    Each rule's others are free digits, which run over 1..q-1 with the
+    lowest index most significant; its determined index is the largest
+    of its set, so the rank of the free digits orders the rows by
+    ordinal, and the window start is found by bisecting that rank. A row
+    whose determined digit is 0 is dropped."""
     q, k, m = job.ctx.q, job.k, job.ctx.m
-    fixed, _ = _square_plan(k, g)
-    # (determined index, the free indices it sums, the sum's target)
-    rules = sorted((fs[-1], fs[:-1], 1 if n == 0 else 0) for n, fs in enumerate(fixed) if fs)
+    rules = square_plan(k, g)[0]
     free = sorted(set(range(k)) - {i for i, _, _ in rules}, reverse=True)
 
     def at(rank: int) -> tuple[int, list[int]]:
@@ -265,37 +248,44 @@ def _admitted_rows(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[i
             yield ordinal, tuple(row)
 
 
-def _row_source(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(ordinal, row) for the rows of g's block in ordinals [lo, hi) that
-    run_search builds: none for a pruned g block, the admitted rows of an
-    EXHAUSTIVE involutory block, and every row_at otherwise."""
+def _candidates(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int, GCirculantSpec]]:
+    """(ordinal, spec) in ascending order for the tokens of g's block in
+    ordinals [lo, hi) that get a full report. Every filter is here: with
+    pruning on, a g block _g_pruned rules out, a zero entry, and for
+    INVOLUTORY_MDS A^2 != I (an EXHAUSTIVE block builds only
+    _admitted_rows); with pruning on or off, a constrained row outside
+    the row space, whose membership is A^2 = I."""
+    involutory = job.pruning and job.target is Target.INVOLUTORY_MDS
+    squared = involutory or job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
     if job.pruning and _g_pruned(job, g):
-        return iter(())
-    if job.pruning and job.target is Target.INVOLUTORY_MDS and job.row_space.kind is RowSpaceKind.EXHAUSTIVE:
-        return _admitted_rows(job, g, lo, hi)
-    return ((ordinal, job.row_at(g, ordinal)) for ordinal in range(lo, hi))
+        return
+    if involutory and job.row_space.kind is RowSpaceKind.EXHAUSTIVE:
+        rows = _admitted_rows(job, g, lo, hi)
+    else:
+        rows = ((ordinal, job.row_at(g, ordinal)) for ordinal in range(lo, hi))
+    for ordinal, row in rows:
+        if job.pruning and 0 in row:  # MDS needs every entry nonzero
+            continue
+        spec = GCirculantSpec(job.ctx, job.k, g, row)
+        if not squared or square_is_identity(spec):
+            yield ordinal, spec
 
 
-def _recheck(job: SearchJob, g: int, token: int, ordinal: int, row: tuple[int, ...] | None = None) -> None:
-    """For a pruned token that debug_recheck samples, assert that the full
-    report rejects its candidate too; a row the row source skipped is
-    built with row_at."""
-    if job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck:
-        spec = GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal) if row is None else row)
-        if target_satisfied(full_report(build_g_circulant(spec)), job.target):
-            raise AssertionError(f"pruning dropped a qualifying candidate: {spec}")
-
-
-def _walk_pruned(
+def _walk_skipped(
     job: SearchJob, g: int, base: int, lo: int, hi: int, on_progress: Callable[[int], None] | None
 ) -> None:
-    """Walk the ordinals [lo, hi) of g's block that its row source
-    skipped: each is a pruned token."""
+    """Walk the ordinals [lo, hi) of g's block that _candidates skipped.
+    debug_recheck rebuilds that fraction of them with row_at and asserts
+    that the full report rejects each row of the job's row space."""
     for ordinal in range(lo, hi):
-        if job.debug_recheck:
-            _recheck(job, g, base + ordinal, ordinal)
+        token = base + ordinal
+        if job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck:
+            spec = GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal))
+            member = job.row_space.kind is not RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT or square_is_identity(spec)
+            if member and target_satisfied(full_report(build_g_circulant(spec)), job.target):
+                raise AssertionError(f"pruning dropped a qualifying candidate: {spec}")
         if on_progress is not None:
-            on_progress(base + ordinal)
+            on_progress(token)
 
 
 def run_search(
@@ -303,17 +293,10 @@ def run_search(
 ) -> Iterator[SearchResult]:
     """Walk the job's token window and yield every verified hit.
 
-    Results come out in ascending (g, ordinal) order. Each g block's rows
-    come from _row_source: with pruning on, a block _g_pruned rules out
-    builds none, and an EXHAUSTIVE INVOLUTORY_MDS block builds only the
-    rows that meet the square law's linear conditions (_admitted_rows);
-    every other token between them is pruned unbuilt. _row_pruned then
-    drops built rows, before a constrained row is squared to decide its
-    membership; every other candidate, and every candidate without
-    pruning, is decided by target_satisfied on one full_report, which
-    the hit carries. debug_recheck samples that fraction of the pruned
-    candidates, builds them with row_at, and asserts that the full
-    report rejects them too. on_progress(token) runs once the token is
+    Results come out in ascending (g, ordinal) order. Each token that
+    _candidates yields is decided by target_satisfied on one
+    full_report, which the hit carries; the tokens between them are
+    walked by _walk_skipped. on_progress(token) runs once the token is
     walked, for every token of the window: for a hit, only when the
     consumer asks for the next result, so a consumer that must know its
     place while it handles a hit reads the hit's token.
@@ -325,30 +308,19 @@ def run_search(
             f" the 2^{CANDIDATE_CAP.bit_length() - 1} cap; partition the job"
         )
     per_g = job.per_g_size()
-    constrained = job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
     for gi, g in enumerate(job.g_set):
         base = gi * per_g
         lo, hi = max(start - base, 0), min(stop - base, per_g)
-        if lo >= hi:
-            continue
         walked = lo  # the next ordinal not yet walked
-        for ordinal, row in _row_source(job, g, lo, hi):
-            if ordinal > walked:
-                _walk_pruned(job, g, base, walked, ordinal, on_progress)
-            token = base + ordinal
-            spec = GCirculantSpec(job.ctx, job.k, g, row)
-            if job.pruning and _row_pruned(job, spec):
-                _recheck(job, g, token, ordinal, row)
-            elif constrained and not square_is_identity(spec):
-                pass  # outside the constrained row space
-            else:
-                report = full_report(build_g_circulant(spec))
-                if target_satisfied(report, job.target):
-                    yield SearchResult(spec, report, ordinal, token)
+        for ordinal, spec in _candidates(job, g, lo, hi):
+            _walk_skipped(job, g, base, walked, ordinal, on_progress)
+            report = full_report(build_g_circulant(spec))
+            if target_satisfied(report, job.target):
+                yield SearchResult(spec, report, ordinal, base + ordinal)
             if on_progress is not None:
-                on_progress(token)
+                on_progress(base + ordinal)
             walked = ordinal + 1
-        _walk_pruned(job, g, base, walked, hi, on_progress)
+        _walk_skipped(job, g, base, walked, hi, on_progress)
 
 
 def job_part(job: SearchJob, index: int, n_parts: int) -> SearchJob:

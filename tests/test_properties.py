@@ -560,6 +560,26 @@ class TestScalarLawAllGCirculants:
         for finding in findings:
             print(f"finding: power law fails for detected pair at {finding}")
 
+    @pytest.mark.parametrize(
+        "m, modulus, k, g, semi_orthogonal",
+        [(2, 0x7, 7, g, 126) for g in range(2, 6)] + [(3, 0xB, 5, 2, 420)],
+    )
+    def test_g_neither_one_nor_minus_one(self, m, modulus, k, g, semi_orthogonal):
+        """Every zero-free row at a g outside {1, -1} (mod k): exact counts
+        of detected pairs, none semi-involutory, and every pair has scalar
+        k-th powers by the schoolbook oracle."""
+        ctx = GF2m(m, modulus)
+        counts = {"semi_involutory": 0, "semi_orthogonal": 0}
+        for row in product(range(1, ctx.q), repeat=k):
+            report = full_report(build_g_circulant(GCirculantSpec(ctx, k, g, row)))
+            for name in counts:
+                pair = getattr(report, name)
+                if pair is not None:
+                    counts[name] += 1
+                    assert {schoolbook_pow(ctx, x, k) for x in pair.d1} == {pair.scalar1}, (name, row)
+                    assert {schoolbook_pow(ctx, x, k) for x in pair.d2} == {pair.scalar2}, (name, row)
+        assert counts == {"semi_involutory": 0, "semi_orthogonal": semi_orthogonal}
+
 
 class TestDiagonalPowerScalar:
     def test_reference_values(self, ctx11d, gf4):

@@ -217,7 +217,7 @@ class TestAdmittedRows:
         per_g = job.per_g_size()
         for g in square_roots_of_one(k):
             expected = brute_force_admitted(m, modulus, k, g)
-            assert list(search_mod._row_source(job, g, 0, per_g)) == expected, g
+            assert list(search_mod._admitted_rows(job, g, 0, per_g)) == expected, g
             if k > 1 and g == 1 and k % 2:
                 assert expected == []  # a lone index of a fixed set is forced to 0
 
@@ -231,11 +231,11 @@ class TestAdmittedRows:
             for _ in range(8):
                 lo = rng.randrange(per_g + 1)
                 hi = rng.randrange(lo, per_g + 1)
-                walked = list(search_mod._row_source(job, g, lo, hi))
+                walked = list(search_mod._admitted_rows(job, g, lo, hi))
                 assert walked == [(o, row) for o, row in expected if lo <= o < hi], (g, lo, hi)
             cuts = sorted(rng.randrange(per_g + 1) for _ in range(5))
             bounds = [0, *cuts, per_g]
-            parts = [search_mod._row_source(job, g, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            parts = [search_mod._admitted_rows(job, g, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
             assert [pair for part in parts for pair in part] == expected
 
     @pytest.mark.parametrize("m, modulus, k", WALK_SPACES)
@@ -565,6 +565,25 @@ class TestConstrainedRows:
         assert [(r.token, r.spec.g, r.spec.row) for r in run_search(job)] == [
             (token, 4, (0x01, 0x02, 0xB3, 0xBB, 0x0A))
         ]
+
+    # rows of the GF(2^4), k = 3 constrained space whose left-circulant is
+    # not involutory (outside the row space) but meets the target
+    NON_MEMBERS_MEETING = {
+        Target.INVOLUTORY_MDS: 0,
+        Target.SEMI_INVOLUTORY_MDS: 24,
+        Target.SEMI_ORTHOGONAL_MDS: 24,
+        Target.MDS_ONLY: 138,
+    }
+
+    @pytest.mark.parametrize("target", list(Target))
+    def test_debug_recheck_skips_non_members(self, gf16, target):
+        job = constrained_job(gf16, 3, target, debug_recheck=1.0)
+        matrices = [build_left_circulant(gf16, job.row_at(2, o)) for o in range(job.per_g_size())]
+        meeting = sum(not is_involutory(a) and target_satisfied(full_report(a), target) for a in matrices)
+        assert meeting == self.NON_MEMBERS_MEETING[target]
+        unpruned = collect(replace(job, pruning=False, debug_recheck=0.0))
+        for pruning in (True, False):
+            assert collect(replace(job, pruning=pruning)) == unpruned, pruning
 
     def test_wrong_g_set_rejected(self, gf16):
         with pytest.raises(ConfigError):
