@@ -50,14 +50,6 @@ class GCirculantSpec:
         if len(self.row) != self.k:
             raise DimensionError(f"row length {len(self.row)} != order {self.k}")
 
-    @property
-    def gcd_flag(self) -> int:
-        return math.gcd(self.g, self.k)
-
-    def require_coprime(self):
-        if self.gcd_flag != 1:
-            raise NotCoprimeError(f"gcd(g={self.g}, k={self.k}) = {self.gcd_flag}")
-
 
 @dataclass(frozen=True)
 class CyclicSpec:
@@ -132,7 +124,9 @@ def square_structured(spec: GCirculantSpec):
     row2[l] collects c_i*c_j over g*i + j = l (mod k); rebuilding with
     the constructor reproduces A @ A exactly.
     """
-    spec.require_coprime()
+    d = math.gcd(spec.g, spec.k)
+    if d != 1:
+        raise NotCoprimeError(f"gcd(g={spec.g}, k={spec.k}) = {d}")
     g2 = spec.g * spec.g % spec.k
     return g2, tuple(shifted_convolution(spec.ctx, spec.row, spec.g))
 

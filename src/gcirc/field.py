@@ -54,8 +54,6 @@ def is_irreducible(mask: int) -> bool:
     if d < 1:
         return False
     for divisor in range(2, 1 << (d // 2 + 1)):
-        if poly_degree(divisor) < 1:
-            continue
         if poly_rem(mask, divisor) == 0:
             return False
     return True
@@ -242,13 +240,13 @@ class GF2m:
     def format_hex(self, a: int) -> str:
         return f"0x{a:0{(self.m + 3) // 4}x}"
 
-    def format_poly(self, a: int, var: str = "a") -> str:
+    def format_poly(self, a: int) -> str:
         if a == 0:
             return "0"
         terms = []
         for i in range(self.m):
             if a >> i & 1:
-                terms.append("1" if i == 0 else var if i == 1 else f"{var}^{i}")
+                terms.append("1" if i == 0 else "a" if i == 1 else f"a^{i}")
         return "+".join(terms)
 
     def format(self, a: int) -> str:

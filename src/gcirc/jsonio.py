@@ -1,7 +1,7 @@
-"""JSON wire formats: field blocks, matrices, specs, reports, diagonal
-pairs, and search jobs. Elements travel as hex strings; every payload
-embeds its field block {"m": ..., "poly": ...} so files are
-self-describing.
+"""JSON wire formats. Field blocks, matrices and specs are read and
+written; diagonal pairs, reports and search results only written; search
+jobs only read. Elements travel as hex strings; every payload embeds its
+field block {"m": ..., "poly": ...} so files are self-describing.
 
 The one reader of outside values: files and the `--row` elements. Each
 value is type-checked by `_typed`, never coerced, and an error names its
@@ -21,11 +21,23 @@ from .search import RowSpace, RowSpaceKind, SearchJob, SearchResult, Target
 
 
 _INT, _INT_OR_NULL = (int,), (int, type(None))
-_JOB_KEYS = frozenset((
-    "field", "k", "target", "row_space", "g_set", "resume_token", "stop_token",
-    "pruning", "prune_power_of_two", "debug_recheck",
-))
-_ROW_SPACE_KEYS = frozenset(("kind", "count", "seed"))
+# A job's optional keys by the object that holds them: key -> (allowed
+# types, description)
+_OPTIONAL = {
+    "row_space": {
+        "count": (_INT_OR_NULL, "an integer"),
+        "seed": (_INT_OR_NULL, "an integer"),
+    },
+    "job": {
+        "resume_token": (_INT_OR_NULL, "an integer"),
+        "stop_token": (_INT_OR_NULL, "an integer"),
+        "pruning": ((bool,), "true or false"),
+        "prune_power_of_two": ((bool,), "true or false"),
+        "debug_recheck": ((int, float), "a number"),
+    },
+}
+_JOB_KEYS = frozenset(("field", "k", "target", "row_space", "g_set", *_OPTIONAL["job"]))
+_ROW_SPACE_KEYS = frozenset(("kind", *_OPTIONAL["row_space"]))
 _HEX_NUMBER = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+\Z")
 
 
@@ -72,6 +84,11 @@ def _member(value, key: str, enum):
     except ValueError:
         allowed = ", ".join(member.value for member in enum)
         raise ConfigError(f"{key!r} must be one of {allowed}, got {excerpt(repr(value))}") from None
+
+
+def _optional(obj: dict, where: str) -> dict:
+    """The optional `where` keys that `obj` sets, each type-checked."""
+    return {key: _typed(obj[key], key, *rule) for key, rule in _OPTIONAL[where].items() if key in obj}
 
 
 def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
@@ -187,28 +204,10 @@ def result_to_json(res: SearchResult) -> dict:
     }
 
 
-def job_to_json(job: SearchJob) -> dict:
-    rs: dict = {"kind": job.row_space.kind.value}
-    if job.row_space.kind is RowSpaceKind.RANDOM:
-        rs["count"] = job.row_space.count
-        rs["seed"] = job.row_space.seed
-    return {
-        "field": field_to_json(job.ctx),
-        "k": job.k,
-        "target": job.target.value,
-        "row_space": rs,
-        "g_set": list(job.g_set),
-        "resume_token": job.resume_token,
-        "stop_token": job.stop_token,
-        "pruning": job.pruning,
-        "prune_power_of_two": job.prune_power_of_two,
-        "debug_recheck": job.debug_recheck,
-    }
-
-
 def job_from_json(obj: dict) -> SearchJob:
     """Read a job; every key is type-checked, never coerced, and a bad or
-    unknown one raises ConfigError naming it."""
+    unknown one raises ConfigError naming it. Only the keys the file sets
+    reach SearchJob and RowSpace, so a left-out key takes their default."""
     if not isinstance(obj, dict):
         raise ConfigError("job file must contain a JSON object")
     _known_keys(obj, _JOB_KEYS, "job")
@@ -222,27 +221,14 @@ def job_from_json(obj: dict) -> SearchJob:
     rs_obj = _typed(_required(obj, "row_space", "job"), "row_space", (dict,), "an object")
     kind = _member(_required(rs_obj, "kind", "row_space"), "kind", RowSpaceKind)
     _known_keys(rs_obj, _ROW_SPACE_KEYS, "row_space")
-    row_space = RowSpace(
-        kind,
-        count=_typed(rs_obj.get("count"), "count", _INT_OR_NULL, "an integer"),
-        seed=_typed(rs_obj.get("seed"), "seed", _INT_OR_NULL, "an integer"),
-    )
+    row_space = RowSpace(kind, **_optional(rs_obj, "row_space"))
     g_set = obj.get("g_set")
-    if g_set is not None:
-        g_set = _list(g_set, "g_set", _INT, "a list of integers")
+    given_g_set = {} if g_set is None else {"g_set": _list(g_set, "g_set", _INT, "a list of integers")}
     return SearchJob(
         ctx=ctx,
         k=_typed(k, "k", _INT, "an integer"),
         target=target,
         row_space=row_space,
-        g_set=g_set,
-        resume_token=_typed(obj.get("resume_token"), "resume_token", _INT_OR_NULL, "an integer"),
-        stop_token=_typed(obj.get("stop_token"), "stop_token", _INT_OR_NULL, "an integer"),
-        pruning=_typed(obj.get("pruning", True), "pruning", (bool,), "true or false"),
-        prune_power_of_two=_typed(
-            obj.get("prune_power_of_two", False), "prune_power_of_two", (bool,), "true or false"
-        ),
-        debug_recheck=_typed(
-            obj.get("debug_recheck", 0.0), "debug_recheck", (int, float), "a number"
-        ),
+        **given_g_set,
+        **_optional(obj, "job"),
     )

@@ -65,7 +65,8 @@ class Matrix:
     # -- ring operations
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
+        if other.ctx != self.ctx or (other.rows, other.cols) != (self.rows, self.cols):
+            raise DimensionError("shape or field mismatch")
         return Matrix(
             self.ctx,
             [[a ^ b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
@@ -98,10 +99,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ctx, list(zip(*self.entries)))
-
-    def _check_same_shape(self, other: "Matrix"):
-        if other.ctx != self.ctx or (other.rows, other.cols) != (self.rows, self.cols):
-            raise DimensionError("shape or field mismatch")
 
     # -- elimination-based operations (one shared forward pass)
 

@@ -115,8 +115,6 @@ def sqrt_one_solutions(k: int) -> SqrtOneSolutions:
     The result must match the count law; a mismatch raises, since it
     would falsify the law the toolkit relies on.
     """
-    if k < 2:
-        raise ValueError(f"modulus must be >= 2, got {k}")
     if k > MAX_MODULUS:
         raise SpaceTooLargeError(f"modulus {k} exceeds the 2^32 cap")
     predicted = predicted_sqrt_one_count(k)

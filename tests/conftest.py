@@ -1,4 +1,5 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles, and the job-file writer that the
+round-trip tests use.
 
 The oracles deliberately avoid the package's code paths: field products
 by carry-less multiplication and reduction instead of log tables,
@@ -14,7 +15,8 @@ from itertools import combinations, product
 
 import pytest
 
-from gcirc import GF2m, GCirculantSpec, Matrix
+from gcirc import GF2m, GCirculantSpec, Matrix, RowSpaceKind, SearchJob
+from gcirc.jsonio import field_to_json
 
 
 @pytest.fixture(scope="session")
@@ -159,3 +161,24 @@ def random_spec(rng: random.Random, ctx: GF2m, k: int) -> GCirculantSpec:
 
     g = rng.choice([g for g in range(k) if gcd(g, k) == 1])
     return GCirculantSpec(ctx, k, g, random_row(rng, ctx, k))
+
+
+def job_to_json(job: SearchJob) -> dict:
+    """A job file that `jsonio.job_from_json` reads back to `job`, every
+    key written out."""
+    rs: dict = {"kind": job.row_space.kind.value}
+    if job.row_space.kind is RowSpaceKind.RANDOM:
+        rs["count"] = job.row_space.count
+        rs["seed"] = job.row_space.seed
+    return {
+        "field": field_to_json(job.ctx),
+        "k": job.k,
+        "target": job.target.value,
+        "row_space": rs,
+        "g_set": list(job.g_set),
+        "resume_token": job.resume_token,
+        "stop_token": job.stop_token,
+        "pruning": job.pruning,
+        "prune_power_of_two": job.prune_power_of_two,
+        "debug_recheck": job.debug_recheck,
+    }

@@ -64,7 +64,7 @@ class TestBuilders:
     def test_g_reduced_mod_k(self, gf16):
         s = GCirculantSpec(gf16, 5, 8, (1, 2, 3, 4, 5))
         assert s.g == 3
-        assert s.gcd_flag == 1
+        assert gcd(s.g, s.k) == 1
 
     def test_row_length_checked(self, gf16):
         with pytest.raises(Exception):

@@ -748,32 +748,58 @@ class TestRepro:
 
 
 class TestUsageErrors:
-    """Each argument error exits 2 with exactly one `error:` line on stderr."""
+    """Each argument or input error exits 2, or 3 for a resource guard,
+    with exactly one `error:` line on stderr."""
 
-    JOB = {
-        "field": {"m": 2, "poly": "0x7"},
-        "k": 2,
-        "target": "MDS_ONLY",
-        "row_space": {"kind": "EXHAUSTIVE"},
-    }
+    FIELD = {"m": 2, "poly": "0x7"}
+    JOB = {"field": FIELD, "k": 2, "target": "MDS_ONLY", "row_space": {"kind": "EXHAUSTIVE"}}
+    CYCLIC_65 = {"k": 65, "rho": [(i + 1) % 65 for i in range(65)], "row": ["0x1"] + ["0x0"] * 64, "field": FIELD}
 
     @pytest.mark.parametrize(
-        "argv, line",
+        "argv, code, line",
         [
-            (["build", "--k", "2", "--g", "1", "--row", "1", "1"],
+            (["build", "--k", "2", "--g", "1", "--row", "1", "1"], 2,
              "--field-m and --field-poly are required for this command"),
-            (["check"], "check needs an input file or --k/--g/--row"),
-            (["search", "JOB", "--partition", "1-3"], "--partition expects I/N, got '1-3'"),
-            (["search", "JOB", "--partition", "4/3"], "partition index 4 outside 1..3"),
-            (["repro", "ex-bogus"],
+            (["check"], 2, "check needs an input file or --k/--g/--row"),
+            (["search", JOB, "--partition", "1-3"], 2, "--partition expects I/N, got '1-3'"),
+            (["search", JOB, "--partition", "4/3"], 2, "partition index 4 outside 1..3"),
+            (["repro", "ex-bogus"], 2,
              f"unknown example 'ex-bogus'; choose from {', '.join(gcirc.catalog.CASES)}"),
+            (["--field-m", "2", "--field-poly", "0x7", "build", "--k", "0", "--g", "1", "--row", "1"], 2,
+             "order must be >= 1, got 0"),
+            (["check", {"k": 2, "rho": [1, 0], "row": ["0x1"], "field": FIELD}], 2,
+             "rho and row must both have size k"),
+            (["check", CYCLIC_65], 2, "dimensions capped at 64"),
+            (["check", {"entries": [], "field": FIELD}], 2, "matrix must have at least one row and column"),
+            (["check", {"entries": [["0x1", "0x0"], ["0x1"]], "field": FIELD}], 2, "ragged rows"),
+            (["check", {"entries": [["0x1", "0x0"]], "field": FIELD}], 2, "MDS check needs a square matrix"),
+            (["check", {"k": 2, "row": ["0x1", "0x0"], "field": FIELD}], 2, "spec JSON needs either 'g' or 'rho'"),
+            (["search", {**JOB, "row_space": {"kind": "RANDOM", "count": 3, "seed": 1 << 64}}], 2,
+             "seed must fit in 64 bits"),
+            (["search", {**JOB, "k": 0}], 2, "order must be >= 1, got 0"),
+            (["search", {**JOB, "debug_recheck": 1.5}], 2, "debug_recheck must be a fraction in [0, 1]"),
+            # several bad keys: the first in reading order is named
+            (["search", {**JOB, "g_set": [1.5], "k": 2.5, "pruning": 0}], 2,
+             "'g_set' must be a list of integers, got 1.5"),
+            (["search", {**JOB, "k": 2.5, "resume_token": "0", "debug_recheck": "x"}], 2,
+             "'k' must be an integer, got 2.5"),
+            (["search", {**JOB, "stop_token": 1.0, "pruning": 0, "debug_recheck": True}], 2,
+             "'stop_token' must be an integer, got 1.0"),
+            (["search", {**JOB, "prune_power_of_two": 1, "debug_recheck": None}], 2,
+             "'prune_power_of_two' must be true or false, got 1"),
+            (["search", {**JOB, "row_space": {"kind": "RANDOM", "count": 1.0, "seed": 1.0}, "g_set": "x"}], 2,
+             "'count' must be an integer, got 1.0"),
+            (["sqrt1", "1"], 2, "modulus must be >= 2, got 1"),
+            (["sqrt1", "1099511627776"], 3, "modulus 1099511627776 exceeds the 2^32 cap"),
         ],
     )
-    def test_exact_message(self, capsys, tmp_path, argv, line):
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(self.JOB))
-        code, out, err = run(capsys, [str(path) if a == "JOB" else a for a in argv])
-        assert (code, out, err) == (2, "", f"error: {line}\n")
+    def test_exact_message(self, capsys, tmp_path, argv, code, line):
+        # a dict argument is written to a file and passed as its path
+        for n, arg in enumerate(argv):
+            if isinstance(arg, dict):
+                (tmp_path / f"{n}.json").write_text(json.dumps(arg))
+        argv = [str(tmp_path / f"{n}.json") if isinstance(a, dict) else a for n, a in enumerate(argv)]
+        assert run(capsys, argv) == (code, "", f"error: {line}\n")
 
     def test_long_input_excerpted(self, capsys, tmp_path):
         # the message names a long literal or value by its head and length

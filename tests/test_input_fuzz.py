@@ -3,8 +3,9 @@
 Generated check and job files start from a valid file and replace or
 drop up to two of its keys with arbitrary JSON: every run must exit 0,
 2 or 3, raise nothing out of `main`, and on 2 or 3 print one `error:`
-line. Specs, matrices and jobs must round-trip through `jsonio`. Runs
-are derandomized and keep no example database.
+line. Specs and matrices must round-trip through `jsonio`, and jobs
+through `conftest.job_to_json` and `jsonio.job_from_json`. Runs are
+derandomized and keep no example database.
 """
 
 import contextlib
@@ -28,6 +29,7 @@ from gcirc.cli import main  # noqa: E402
 from gcirc.field import GF2m  # noqa: E402
 from gcirc.matrix import Matrix, Permutation  # noqa: E402
 from gcirc.search import RowSpace, RowSpaceKind, SearchJob, Target  # noqa: E402
+from conftest import job_to_json  # noqa: E402
 
 # Hypothesis still caches constants and Unicode tables without a database;
 # keep them out of the checkout
@@ -162,7 +164,7 @@ def job_files(draw):
     total = job.total_candidates()
     start = draw(st.integers(0, min(total, 40)))
     job = replace(job, resume_token=start, stop_token=draw(st.integers(start, min(total, start + 300))))
-    obj = mutated(draw, jsonio.job_to_json(job), fixed=("stop_token",))
+    obj = mutated(draw, job_to_json(job), fixed=("stop_token",))
     if draw(st.integers(0, 9)) == 0:
         obj["stop_token"] = draw(ANY_JSON.filter(lambda v: type(v) is not int and v is not None))
     if draw(st.integers(0, 3)) == 0:
@@ -234,7 +236,7 @@ class TestRoundTrip:
     @FUZZ
     @given(job=jobs())
     def test_job(self, job):
-        text = json.dumps(jsonio.job_to_json(job))
+        text = json.dumps(job_to_json(job))
         back = jsonio.job_from_json(json.loads(text))
         assert back == job
-        assert json.dumps(jsonio.job_to_json(back)) == text
+        assert json.dumps(job_to_json(back)) == text

@@ -35,6 +35,7 @@ from gcirc import (
     rescale_pair,
     run_search,
     shifted_convolution,
+    square_is_identity,
 )
 from conftest import (
     brute_force_sandwich_pairs,
@@ -579,6 +580,43 @@ class TestScalarLawAllGCirculants:
                     assert {schoolbook_pow(ctx, x, k) for x in pair.d1} == {pair.scalar1}, (name, row)
                     assert {schoolbook_pow(ctx, x, k) for x in pair.d2} == {pair.scalar2}, (name, row)
         assert counts == {"semi_involutory": 0, "semi_orthogonal": semi_orthogonal}
+
+
+class TestInvolutoryMdsTheorem:
+    """No involutory g-circulant of order k is MDS unless g = -1 (mod k),
+    tested at k = 15 over GF(2^8)/0x11d, where g = 4 and 11 satisfy
+    g^2 = 1 but are neither 1 nor -1. With sigma(v)(x) = v(x^g), each
+    row is c = v * sigma(v)^-1 in GF(2^8)[x]/(x^15 - 1), so c * sigma(c)
+    = 1 and A^2 = I; circ(v) @ circ(sigma(v))^-1 = circ(c)."""
+
+    ROWS = 300
+
+    @pytest.mark.parametrize("g, witness_sizes", [(4, {1: 17, 2: 229, 3: 54}), (11, {1: 17, 2: 226, 3: 57})])
+    def test_no_involutory_row_is_mds(self, ctx11d, g, witness_sizes):
+        k, rng = 15, random.Random(g)
+        rows = []
+        while len(rows) < self.ROWS:
+            v = [rng.randrange(ctx11d.q) for _ in range(k)]
+            sigma = [0] * k
+            for i, x in enumerate(v):
+                sigma[g * i % k] = x
+            try:
+                sigma_inverse = build_circulant(ctx11d, sigma).inverse()
+            except SingularMatrixError:
+                continue
+            rows.append((build_circulant(ctx11d, v) @ sigma_inverse).entries[0])
+        sizes = {}
+        with pytest.warns(UserWarning, match="minor enumeration at k=15 is slow"):
+            for n, row in enumerate(rows):
+                spec = GCirculantSpec(ctx11d, k, g, row)
+                assert square_is_identity(spec), row
+                a = build_g_circulant(spec)
+                if n < 3:
+                    assert a @ a == Matrix.identity(ctx11d, k)
+                mds, witness = is_mds(a)
+                assert not mds, row
+                sizes[len(witness[0])] = sizes.get(len(witness[0]), 0) + 1
+        assert sizes == witness_sizes
 
 
 class TestDiagonalPowerScalar:

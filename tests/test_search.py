@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+import gcirc.jsonio as jsonio_mod
 import gcirc.properties as properties_mod
 import gcirc.search as search_mod
 from gcirc import (
@@ -30,9 +31,9 @@ from gcirc import (
     run_search,
     target_satisfied,
 )
-from gcirc.jsonio import job_from_json, job_to_json, result_to_json
+from gcirc.jsonio import job_from_json, result_to_json
 from gcirc.search import job_part
-from conftest import diagonal, elimination_mds, is_involutory, sandwich_pair_exists, schoolbook_pow
+from conftest import diagonal, elimination_mds, is_involutory, job_to_json, sandwich_pair_exists, schoolbook_pow
 
 # every candidate of the three exhaustive spaces; the GF(2^4), k = 3
 # sample adds non-symmetric g-circulants, on which involutory and
@@ -108,6 +109,14 @@ class TestCompleteness:
         # re-verifies every pruned candidate; any unsound prune would raise
         job = exhaustive_job(gf16, 2, Target.INVOLUTORY_MDS, debug_recheck=1.0)
         collect(job)
+
+    def test_debug_recheck_catches_an_unsound_prune(self, gf16, monkeypatch):
+        # a g-block rule that drops a block holding hits fails the recheck
+        job = exhaustive_job(gf16, 2, Target.INVOLUTORY_MDS, debug_recheck=1.0)
+        assert collect(job)
+        monkeypatch.setattr(search_mod, "_g_pruned", lambda _job, _g: True)
+        with pytest.raises(AssertionError, match="pruning dropped a qualifying candidate"):
+            collect(job)
 
 
 class TestPrunedGBlocks:
@@ -662,6 +671,25 @@ class TestJobJson:
             pruning=False,
         )
         assert job_from_json(job_to_json(job)) == job
+
+    def test_left_out_keys_take_the_dataclass_defaults(self, gf4, monkeypatch):
+        obj = {"field": {"m": 2, "poly": "0x7"}, "k": 2, "target": "MDS_ONLY", "row_space": {"kind": "EXHAUSTIVE"}}
+        assert job_from_json(obj) == SearchJob(gf4, 2, Target.MDS_ONLY, RowSpace(RowSpaceKind.EXHAUSTIVE))
+        passed = []
+
+        def recording(cls):
+            def make(*args, **kwargs):
+                passed.append((cls.__name__, sorted(kwargs)))
+                return cls(*args, **kwargs)
+            return make
+
+        monkeypatch.setattr(jsonio_mod, "SearchJob", recording(SearchJob))
+        monkeypatch.setattr(jsonio_mod, "RowSpace", recording(RowSpace))
+        job_from_json({**obj, "row_space": {"kind": "RANDOM", "count": 3}, "pruning": False, "stop_token": None})
+        assert passed == [
+            ("RowSpace", ["count"]),
+            ("SearchJob", ["ctx", "k", "pruning", "row_space", "stop_token", "target"]),
+        ]
 
     def test_malformed(self):
         with pytest.raises(ConfigError):
