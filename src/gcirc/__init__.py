@@ -10,6 +10,7 @@ from .circulant import (
     build_g_circulant,
     build_left_circulant,
     involutory_g_filter,
+    involutory_rows,
     left_circulant_involutory_conditions,
     shifted_convolution,
     square_is_identity,
@@ -24,6 +25,7 @@ from .errors import (
     NotKCycleError,
     OutOfRangeError,
     ParseError,
+    RecheckError,
     ReducibleModulusError,
     ResumeTokenError,
     SingularMatrixError,

@@ -8,13 +8,16 @@ left-circulant. A cyclic matrix generalizes the row-to-row step to an
 arbitrary k-cycle rho via C[i,j] = c_{rho^{-i}(j)}.
 
 Structure laws computed here: the square as a (g^2, convolution row)
-pair, and the characteristic-2 square law that decides A^2 = I from the
-first row when g^2 = 1 (mod k). The laws that are only asserted (the
-shift relation A[i,j] = A[i+1, j+g], A = Q_g * circ(c), inverse and
-transpose g^{-1}-circulant, product of a g- and an h-circulant
-gh-circulant, the permutation equivalence between cyclic and circulant
-matrices, and the left-circulant minors of a (2^{d-1}-1)-circulant of
-order 2^d) are checked against dense arithmetic in the tests.
+pair, the characteristic-2 square law that decides A^2 = I from the
+first row when g^2 = 1 (mod k), and, for odd k dividing q - 1, the
+rows it admits, listed as the inverse DFTs of the units of norm 1 in
+GF(2^m)[x]/(x^k - 1) (c * sigma_g(c) = 1, sigma_g: x -> x^g). The
+laws that are only asserted (the shift relation A[i,j] = A[i+1, j+g],
+A = Q_g * circ(c), inverse and transpose g^{-1}-circulant, product of
+a g- and an h-circulant gh-circulant, the permutation equivalence
+between cyclic and circulant matrices, and the left-circulant minors
+of a (2^{d-1}-1)-circulant of order 2^d) are checked against dense
+arithmetic in the tests.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from functools import cache
 from .errors import DimensionError, NotCoprimeError, NotKCycleError
 from .field import GF2m
 from .matrix import MAX_DIM, Matrix, Permutation
+from .modular import factorize
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,41 @@ def square_plan(k: int, g: int):
     rules = tuple((fs[-1], tuple(fs[:-1]), int(l == 0)) for l, fs in fixed if fs)
     orbits = tuple(tuple((i, (l - g * i) % k) for i in range(k)) for l in range(k) if l < g * l % k)
     return rules, orbits
+
+
+def involutory_rows(ctx: GF2m, k: int, g: int) -> list[tuple[int, ...]]:
+    """Every first row c with c * sigma_g(c) = 1 in GF(2^m)[x]/(x^k - 1),
+    sigma_g: x -> x^g: the rows whose g-circulant squares to I, for odd k
+    dividing q - 1 and g^2 = 1 (mod k).
+
+    x^k - 1 then has k distinct roots zeta^j, zeta a primitive k-th root
+    of unity, so c is the inverse DFT c_i = sum_j l_j zeta^(-ij) of its
+    values l_j = c(zeta^j) (k is odd: no 1/k factor), and the law reads
+    l_j * l_{g*j} = 1. So l_j = 1 where g*j = j, and l_{g*j} = l_j^-1 on
+    each pair {j, g*j}, one free l_j in GF(q)* per orbit of
+    square_plan(k, g): (q - 1)^orbits rows in all."""
+    q, mul, pow_ = ctx.q, ctx.mul, ctx.pow
+    if k % 2 == 0 or (q - 1) % k or not involutory_g_filter(g, k):
+        raise ValueError(f"the inverse DFT needs odd k | q - 1 and g^2 = 1 (mod k), got q={q}, k={k}, g={g}")
+    primes = [p for p, _ in factorize(k)]
+    zeta = next(
+        z for z in (pow_(x, (q - 1) // k) for x in range(1, q)) if all(pow_(z, k // p) != 1 for p in primes)
+    )
+
+    def column(j: int, value: int) -> list[int]:  # value * (zeta^(-ij)) over i
+        return [mul(value, pow_(zeta, -i * j % k)) for i in range(k)]
+
+    rows = [(0,) * k]
+    for j in range(k):
+        gj = g * j % k
+        if gj == j:
+            choices = [column(j, 1)]
+        elif j < gj:
+            choices = [[a ^ b for a, b in zip(column(j, v), column(gj, ctx.inv(v)))] for v in range(1, q)]
+        else:
+            continue
+        rows = [tuple(a ^ b for a, b in zip(row, choice)) for row in rows for choice in choices]
+    return rows
 
 
 def square_is_identity(spec: GCirculantSpec) -> bool:

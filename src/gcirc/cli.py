@@ -1,7 +1,8 @@
 """Command-line frontend: build, check, square, sqrt1, search, repro.
 
 JSON goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 a checked assertion failed, 2 usage or configuration error,
+1 a checked assertion failed (a repro fact, a square's verification, a
+search's debug_recheck), 2 usage or configuration error,
 3 resource guard tripped.
 
 Files and `--row` elements are read by `jsonio`. A command fails by
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 from . import catalog, jsonio
 from .circulant import CyclicSpec, GCirculantSpec, build_cyclic, build_g_circulant, square_structured
-from .errors import ConfigError, GcircError, ParseError, SpaceTooLargeError, excerpt
+from .errors import ConfigError, GcircError, ParseError, RecheckError, SpaceTooLargeError, excerpt
 from .field import GF2m
 from .matrix import Matrix
 from .modular import sqrt_one_solutions
@@ -292,6 +293,9 @@ def main(argv=None) -> int:
     except SpaceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (GcircError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

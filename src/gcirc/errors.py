@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: bad input or configuration exits 2,
-resource guards exit 3.
+The CLI maps these onto exit codes: a failed search recheck exits 1,
+bad input or configuration exits 2, resource guards exit 3.
 """
 
 EXCERPT_CHARS = 60
@@ -57,6 +57,10 @@ class SpaceTooLargeError(GcircError, RuntimeError):
 
 class ResumeTokenError(GcircError, ValueError):
     """Resume token outside the job's candidate range."""
+
+
+class RecheckError(GcircError, AssertionError):
+    """A search's debug_recheck found a pruned candidate that meets the target."""
 
 
 class ConfigError(GcircError, ValueError):

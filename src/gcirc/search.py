@@ -10,7 +10,11 @@ _candidates, decides which tokens get a full report: with pruning on,
 exact theorem filters drop candidates from the spec alone, whole g
 blocks before any row is built and, in an EXHAUSTIVE INVOLUTORY_MDS
 block, every row the characteristic-2 square law's linear rules reject
-without building it. A hit carries its candidate's one lazy full_report.
+without building it. Where k is odd and divides q - 1, a block that
+keeps only rows with A^2 = I (EXHAUSTIVE INVOLUTORY_MDS, or
+constrained) builds just those rows, which circulant.involutory_rows
+computes as inverse DFTs, when they are no more than the window's
+tokens. A hit carries its candidate's one lazy full_report.
 """
 
 from __future__ import annotations
@@ -18,18 +22,27 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator
 
-from .circulant import GCirculantSpec, build_g_circulant, involutory_g_filter, square_is_identity, square_plan
-from .errors import ConfigError, DimensionError, ResumeTokenError, SpaceTooLargeError
+from .circulant import (
+    GCirculantSpec,
+    build_g_circulant,
+    involutory_g_filter,
+    involutory_rows,
+    square_is_identity,
+    square_plan,
+)
+from .errors import ConfigError, DimensionError, RecheckError, ResumeTokenError, SpaceTooLargeError
 from .field import GF2m
 from .matrix import MAX_DIM
 from .properties import PropertyReport, full_report
 from .properties import is_mds  # noqa: F401  # kept as gcirc.search.is_mds, a name the benchmark's tracer test asserts
 
 CANDIDATE_CAP = 1 << 24
+ENUMERATION_CAP = 1 << 16  # rows one block may enumerate: they are all held in memory at once
 
 
 class Target(Enum):
@@ -248,18 +261,61 @@ def _admitted_rows(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[i
             yield ordinal, tuple(row)
 
 
+def _enumerates(job: SearchJob, g: int, lo: int, hi: int) -> bool:
+    """True when g's block, pruned, keeps only rows with A^2 = I (an
+    EXHAUSTIVE INVOLUTORY_MDS block, or any constrained one, whose
+    membership is A^2 = I), involutory_rows can list them (odd k dividing
+    q - 1), and there are no more of them than ordinals in [lo, hi) or
+    than ENUMERATION_CAP. A RANDOM block never qualifies: its rows are
+    hashes, not numerals.
+    g^2 = 1 (mod k) holds for any g that gets here: a constrained g is
+    k - 1, and _g_pruned drops every other INVOLUTORY_MDS g."""
+    k, q, kind = job.k, job.ctx.q, job.row_space.kind
+    squared_space = kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT or (
+        kind is RowSpaceKind.EXHAUSTIVE and job.target is Target.INVOLUTORY_MDS
+    )
+    return (
+        job.pruning
+        and squared_space
+        and k % 2 == 1
+        and (q - 1) % k == 0
+        and (q - 1) ** len(square_plan(k, g)[1]) <= min(hi - lo, ENUMERATION_CAP)
+    )
+
+
+def _enumerated_rows(job: SearchJob, g: int, lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(ordinal, row) in ascending order for the rows of involutory_rows
+    with no zero entry whose ordinal lies in [lo, hi): an EXHAUSTIVE
+    ordinal is the numeral of all k digits, a constrained one that of
+    c_1..c_{k-1} (c_0 = 1 + their sum holds for every involutory row)."""
+    constrained = job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
+    m = job.ctx.m
+    rows = []
+    for row in involutory_rows(job.ctx, job.k, g):
+        if all(row):
+            ordinal = 0
+            for c in row[1:] if constrained else row:
+                ordinal = ordinal << m | c
+            rows.append((ordinal, row))
+    rows.sort()
+    return rows[bisect_left(rows, (lo,)) : bisect_left(rows, (hi,))]
+
+
 def _candidates(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int, GCirculantSpec]]:
     """(ordinal, spec) in ascending order for the tokens of g's block in
     ordinals [lo, hi) that get a full report. Every filter is here: with
     pruning on, a g block _g_pruned rules out, a zero entry, and for
-    INVOLUTORY_MDS A^2 != I (an EXHAUSTIVE block builds only
-    _admitted_rows); with pruning on or off, a constrained row outside
-    the row space, whose membership is A^2 = I."""
+    INVOLUTORY_MDS A^2 != I (a block _enumerates builds only its
+    _enumerated_rows, another EXHAUSTIVE block only _admitted_rows);
+    with pruning on or off, a constrained row outside the row space,
+    whose membership is A^2 = I."""
     involutory = job.pruning and job.target is Target.INVOLUTORY_MDS
     squared = involutory or job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
     if job.pruning and _g_pruned(job, g):
         return
-    if involutory and job.row_space.kind is RowSpaceKind.EXHAUSTIVE:
+    if _enumerates(job, g, lo, hi):
+        rows = _enumerated_rows(job, g, lo, hi)
+    elif involutory and job.row_space.kind is RowSpaceKind.EXHAUSTIVE:
         rows = _admitted_rows(job, g, lo, hi)
     else:
         rows = ((ordinal, job.row_at(g, ordinal)) for ordinal in range(lo, hi))
@@ -276,14 +332,15 @@ def _walk_skipped(
 ) -> None:
     """Walk the ordinals [lo, hi) of g's block that _candidates skipped.
     debug_recheck rebuilds that fraction of them with row_at and asserts
-    that the full report rejects each row of the job's row space."""
+    that the full report rejects each row of the job's row space, raising
+    RecheckError on one it accepts."""
     for ordinal in range(lo, hi):
         token = base + ordinal
         if job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck:
             spec = GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal))
             member = job.row_space.kind is not RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT or square_is_identity(spec)
             if member and target_satisfied(full_report(build_g_circulant(spec)), job.target):
-                raise AssertionError(f"pruning dropped a qualifying candidate: {spec}")
+                raise RecheckError(f"pruning dropped a qualifying candidate: {spec}")
         if on_progress is not None:
             on_progress(token)
 

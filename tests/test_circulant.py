@@ -5,6 +5,7 @@ the cyclic-to-circulant equivalence and the left-circulant minors."""
 import random
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,10 +21,12 @@ from gcirc import (
     build_cyclic,
     build_g_circulant,
     build_left_circulant,
+    involutory_rows,
     shifted_convolution,
     square_is_identity,
     square_structured,
 )
+from gcirc.circulant import square_plan
 from conftest import perm_matrix, random_row, random_spec
 
 PAPER_ROW_STRS = ("1", "a", "1+a+a^4+a^5+a^7", "1+a+a^3+a^4+a^5+a^7", "a+a^3")
@@ -309,6 +312,30 @@ class TestSquareLaw:
     def test_needs_g_squared_one(self, gf16):
         with pytest.raises(ValueError):
             square_is_identity(GCirculantSpec(gf16, 5, 2, (1, 0, 0, 0, 0)))
+
+
+class TestInvolutoryRows:
+    """involutory_rows against square_is_identity on every row."""
+
+    @pytest.mark.parametrize("field, k", [("gf4", 3), ("gf16", 3), ("gf16", 5)])
+    def test_equals_brute_force(self, request, field, k):
+        ctx = request.getfixturevalue(field)
+        for g in square_law_gs(k):
+            # one stand-in spec for all q^k rows: 2^20 frozen specs would triple the time
+            spec = SimpleNamespace(ctx=ctx, k=k, g=g, row=None)
+            brute = set()
+            for row in product(range(ctx.q), repeat=k):
+                spec.row = row
+                if square_is_identity(spec):
+                    brute.add(row)
+            rows = involutory_rows(ctx, k, g)
+            assert len(rows) == len(brute) == (ctx.q - 1) ** len(square_plan(k, g)[1]), g
+            assert set(rows) == brute, g
+
+    @pytest.mark.parametrize("k, g", [(4, 3), (7, 6), (5, 2)])
+    def test_needs_odd_k_dividing_q_minus_1_and_g_squared_one(self, gf16, k, g):
+        with pytest.raises(ValueError, match="inverse DFT"):
+            involutory_rows(gf16, k, g)
 
 
 class TestShiftLaws:

@@ -13,6 +13,7 @@ import pytest
 
 import gcirc
 import gcirc.cli as cli_mod
+import gcirc.search as search_mod
 from gcirc import jsonio
 from gcirc.cli import main
 
@@ -622,6 +623,24 @@ class TestSearch:
         proc.stderr.close()
         assert b"Traceback" not in stderr
         assert proc.returncode in (0, -13, 141)  # SIGPIPE death, no crash
+
+    def test_failed_recheck_exit_1(self, capsys, tmp_path, monkeypatch):
+        # a g-block rule that drops a block holding hits, caught by debug_recheck
+        monkeypatch.setattr(search_mod, "_g_pruned", lambda _job, _g: True)
+        path = self.job_path(
+            tmp_path,
+            {
+                "field": {"m": 4, "poly": "0x13"},
+                "k": 2,
+                "target": "INVOLUTORY_MDS",
+                "row_space": {"kind": "EXHAUSTIVE"},
+                "debug_recheck": 1.0,
+            },
+        )
+        code, out, err = run(capsys, ["search", path])
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: pruning dropped a qualifying candidate: GCirculantSpec(")
 
     def test_interrupt_prints_resume_token(self, capsys, tmp_path, monkeypatch):
         def interrupted(job, on_progress=None):
