@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from operator import xor
 
 from .errors import DimensionError, NotCoprimeError, NotKCycleError
 from .field import GF2m
 from .matrix import MAX_DIM, Matrix, Permutation
-from .modular import factorize
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,16 @@ def square_plan(k: int, g: int):
     return rules, orbits
 
 
+def involutory_row_count(q: int, k: int, g: int) -> int | None:
+    """How many rows involutory_rows lists over GF(q) for (k, g): one
+    free DFT value in GF(q)* per orbit of square_plan(k, g), so
+    (q - 1)^orbits. None where the inverse DFT does not apply: it needs
+    odd k dividing q - 1 and g^2 = 1 (mod k)."""
+    if k % 2 == 0 or (q - 1) % k or not involutory_g_filter(g, k):
+        return None
+    return (q - 1) ** len(square_plan(k, g)[1])
+
+
 def involutory_rows(ctx: GF2m, k: int, g: int) -> list[tuple[int, ...]]:
     """Every first row c with c * sigma_g(c) = 1 in GF(2^m)[x]/(x^k - 1),
     sigma_g: x -> x^g: the rows whose g-circulant squares to I, for odd k
@@ -167,18 +177,15 @@ def involutory_rows(ctx: GF2m, k: int, g: int) -> list[tuple[int, ...]]:
     of unity, so c is the inverse DFT c_i = sum_j l_j zeta^(-ij) of its
     values l_j = c(zeta^j) (k is odd: no 1/k factor), and the law reads
     l_j * l_{g*j} = 1. So l_j = 1 where g*j = j, and l_{g*j} = l_j^-1 on
-    each pair {j, g*j}, one free l_j in GF(q)* per orbit of
-    square_plan(k, g): (q - 1)^orbits rows in all."""
-    q, mul, pow_ = ctx.q, ctx.mul, ctx.pow
-    if k % 2 == 0 or (q - 1) % k or not involutory_g_filter(g, k):
+    each pair {j, g*j}: involutory_row_count(q, k, g) rows in all."""
+    q, mul = ctx.q, ctx.mul
+    if involutory_row_count(q, k, g) is None:
         raise ValueError(f"the inverse DFT needs odd k | q - 1 and g^2 = 1 (mod k), got q={q}, k={k}, g={g}")
-    primes = [p for p, _ in factorize(k)]
-    zeta = next(
-        z for z in (pow_(x, (q - 1) // k) for x in range(1, q)) if all(pow_(z, k // p) != 1 for p in primes)
-    )
+    zeta = ctx.root_of_unity(k)
+    powers = [ctx.pow(zeta, -e % k) for e in range(k)]  # zeta^(-e)
 
-    def column(j: int, value: int) -> list[int]:  # value * (zeta^(-ij)) over i
-        return [mul(value, pow_(zeta, -i * j % k)) for i in range(k)]
+    def column(j: int, value: int) -> list[int]:  # value * zeta^(-ij) over i
+        return [mul(value, powers[i * j % k]) for i in range(k)]
 
     rows = [(0,) * k]
     for j in range(k):
@@ -186,10 +193,10 @@ def involutory_rows(ctx: GF2m, k: int, g: int) -> list[tuple[int, ...]]:
         if gj == j:
             choices = [column(j, 1)]
         elif j < gj:
-            choices = [[a ^ b for a, b in zip(column(j, v), column(gj, ctx.inv(v)))] for v in range(1, q)]
+            choices = [list(map(xor, column(j, v), column(gj, ctx.inv(v)))) for v in range(1, q)]
         else:
             continue
-        rows = [tuple(a ^ b for a, b in zip(row, choice)) for row in rows for choice in choices]
+        rows = [tuple(map(xor, row, choice)) for row in rows for choice in choices]
     return rows
 
 

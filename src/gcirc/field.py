@@ -184,6 +184,14 @@ class GF2m:
             self._load_tables()
         return self._exp[self.q - 1 - self._log[a]]
 
+    def root_of_unity(self, n: int) -> int:
+        """A primitive n-th root of unity, g^((q-1)/n) for the table generator g."""
+        if n < 1 or (self.q - 1) % n:
+            raise ValueError(f"GF(2^{self.m}) has primitive n-th roots of unity only for n | {self.q - 1}, got n={n}")
+        if self._exp is None:
+            self._load_tables()
+        return self._exp[(self.q - 1) // n]
+
     # -- parsing and formatting
 
     def parse(self, text: str) -> int:

@@ -10,11 +10,11 @@ _candidates, decides which tokens get a full report: with pruning on,
 exact theorem filters drop candidates from the spec alone, whole g
 blocks before any row is built and, in an EXHAUSTIVE INVOLUTORY_MDS
 block, every row the characteristic-2 square law's linear rules reject
-without building it. Where k is odd and divides q - 1, a block that
-keeps only rows with A^2 = I (EXHAUSTIVE INVOLUTORY_MDS, or
-constrained) builds just those rows, which circulant.involutory_rows
-computes as inverse DFTs, when they are no more than the window's
-tokens. A hit carries its candidate's one lazy full_report.
+without building it. Where k is odd and divides q - 1, a constrained
+block, whose rows are those with A^2 = I, builds with pruning on just
+the rows circulant.involutory_rows computes as inverse DFTs, when they
+are no more than the window's tokens. A hit carries its candidate's
+one lazy full_report.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .circulant import (
     GCirculantSpec,
     build_g_circulant,
     involutory_g_filter,
+    involutory_row_count,
     involutory_rows,
     square_is_identity,
     square_plan,
@@ -42,7 +43,10 @@ from .properties import PropertyReport, full_report
 from .properties import is_mds  # noqa: F401  # kept as gcirc.search.is_mds, a name the benchmark's tracer test asserts
 
 CANDIDATE_CAP = 1 << 24
-ENUMERATION_CAP = 1 << 16  # rows one block may enumerate: they are all held in memory at once
+# Rows one block may enumerate. They are all held in memory at once: at the cap,
+# GF(2^8) k = 5 (65,025 rows) peaks 12 MB and GF(2^16) k = 3 (65,535 rows) 25 MB
+# above a walk of the same window (Python 3.11, x86-64).
+ENUMERATION_CAP = 1 << 16
 
 
 class Target(Enum):
@@ -262,41 +266,35 @@ def _admitted_rows(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[i
 
 
 def _enumerates(job: SearchJob, g: int, lo: int, hi: int) -> bool:
-    """True when g's block, pruned, keeps only rows with A^2 = I (an
-    EXHAUSTIVE INVOLUTORY_MDS block, or any constrained one, whose
-    membership is A^2 = I), involutory_rows can list them (odd k dividing
-    q - 1), and there are no more of them than ordinals in [lo, hi) or
-    than ENUMERATION_CAP. A RANDOM block never qualifies: its rows are
-    hashes, not numerals.
-    g^2 = 1 (mod k) holds for any g that gets here: a constrained g is
-    k - 1, and _g_pruned drops every other INVOLUTORY_MDS g."""
-    k, q, kind = job.k, job.ctx.q, job.row_space.kind
-    squared_space = kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT or (
-        kind is RowSpaceKind.EXHAUSTIVE and job.target is Target.INVOLUTORY_MDS
-    )
+    """True when g's block is constrained, whose membership is A^2 = I,
+    pruning is on, involutory_rows can list the block's rows (odd k
+    dividing q - 1), and there are no more of them than ordinals in
+    [lo, hi) or than ENUMERATION_CAP.
+
+    Enumerating costs about 1.5 us a row at GF(2^8), k = 5 and 4.4 us at
+    GF(2^16), k = 3, walking about 3.7 us a token (Python 3.11, x86-64), so
+    a window of exactly the row count takes 0.4x and 1.2x the walk's time
+    there, and twice that window at most 0.65x."""
+    count = involutory_row_count(job.ctx.q, job.k, g)
     return (
         job.pruning
-        and squared_space
-        and k % 2 == 1
-        and (q - 1) % k == 0
-        and (q - 1) ** len(square_plan(k, g)[1]) <= min(hi - lo, ENUMERATION_CAP)
+        and job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
+        and count is not None
+        and count <= min(hi - lo, ENUMERATION_CAP)
     )
 
 
 def _enumerated_rows(job: SearchJob, g: int, lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
     """(ordinal, row) in ascending order for the rows of involutory_rows
-    with no zero entry whose ordinal lies in [lo, hi): an EXHAUSTIVE
-    ordinal is the numeral of all k digits, a constrained one that of
-    c_1..c_{k-1} (c_0 = 1 + their sum holds for every involutory row)."""
-    constrained = job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
+    whose ordinal, the numeral of c_1..c_{k-1}, lies in [lo, hi)
+    (c_0 = 1 + their sum holds for every involutory row)."""
     m = job.ctx.m
     rows = []
     for row in involutory_rows(job.ctx, job.k, g):
-        if all(row):
-            ordinal = 0
-            for c in row[1:] if constrained else row:
-                ordinal = ordinal << m | c
-            rows.append((ordinal, row))
+        ordinal = 0
+        for c in row[1:]:
+            ordinal = ordinal << m | c
+        rows.append((ordinal, row))
     rows.sort()
     return rows[bisect_left(rows, (lo,)) : bisect_left(rows, (hi,))]
 
@@ -305,10 +303,10 @@ def _candidates(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int,
     """(ordinal, spec) in ascending order for the tokens of g's block in
     ordinals [lo, hi) that get a full report. Every filter is here: with
     pruning on, a g block _g_pruned rules out, a zero entry, and for
-    INVOLUTORY_MDS A^2 != I (a block _enumerates builds only its
-    _enumerated_rows, another EXHAUSTIVE block only _admitted_rows);
-    with pruning on or off, a constrained row outside the row space,
-    whose membership is A^2 = I."""
+    INVOLUTORY_MDS A^2 != I (an EXHAUSTIVE block builds only
+    _admitted_rows); with pruning on or off, a constrained row outside
+    the row space, whose membership is A^2 = I (a block _enumerates
+    builds only its _enumerated_rows)."""
     involutory = job.pruning and job.target is Target.INVOLUTORY_MDS
     squared = involutory or job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
     if job.pruning and _g_pruned(job, g):

@@ -26,7 +26,7 @@ from gcirc import (
     square_is_identity,
     square_structured,
 )
-from gcirc.circulant import square_plan
+from gcirc.circulant import involutory_row_count
 from conftest import perm_matrix, random_row, random_spec
 
 PAPER_ROW_STRS = ("1", "a", "1+a+a^4+a^5+a^7", "1+a+a^3+a^4+a^5+a^7", "a+a^3")
@@ -329,11 +329,12 @@ class TestInvolutoryRows:
                 if square_is_identity(spec):
                     brute.add(row)
             rows = involutory_rows(ctx, k, g)
-            assert len(rows) == len(brute) == (ctx.q - 1) ** len(square_plan(k, g)[1]), g
+            assert len(rows) == len(brute) == involutory_row_count(ctx.q, k, g), g
             assert set(rows) == brute, g
 
     @pytest.mark.parametrize("k, g", [(4, 3), (7, 6), (5, 2)])
     def test_needs_odd_k_dividing_q_minus_1_and_g_squared_one(self, gf16, k, g):
+        assert involutory_row_count(gf16.q, k, g) is None
         with pytest.raises(ValueError, match="inverse DFT"):
             involutory_rows(gf16, k, g)
 

@@ -228,6 +228,19 @@ class TestPrimitivity:
         assert list(exp) == powers + powers
         assert [log[x] for x in powers] == list(range(n))
 
+    @pytest.mark.parametrize("m, poly", CONTEXT_PARAMS)
+    def test_root_of_unity_has_order_n(self, m, poly):
+        # walked with the schoolbook oracle, for every n dividing q - 1
+        ctx = GF2m(m, poly)
+        for n in range(1, ctx.q):
+            if (ctx.q - 1) % n:
+                with pytest.raises(ValueError, match="roots of unity"):
+                    ctx.root_of_unity(n)
+            else:
+                assert schoolbook_order(ctx, ctx.root_of_unity(n)) == n
+        with pytest.raises(ValueError, match="roots of unity"):
+            ctx.root_of_unity(0)
+
 
 class TestParseFormat:
     def test_parse_examples(self, ctx165):

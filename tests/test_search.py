@@ -32,6 +32,7 @@ from gcirc import (
     square_is_identity,
     target_satisfied,
 )
+from gcirc.circulant import involutory_row_count
 from gcirc.jsonio import job_from_json, result_to_json
 from gcirc.search import job_part
 from conftest import diagonal, elimination_mds, is_involutory, job_to_json, sandwich_pair_exists, schoolbook_pow
@@ -623,69 +624,56 @@ def enumerated(monkeypatch):
     return calls
 
 
-# (kind, k, g_set) of GF(2^4) INVOLUTORY_MDS jobs whose last g block has
-# odd k | q - 1 = 15, so a window of it at least (q - 1)^orbits long
-# builds only the rows involutory_rows lists
-ENUMERATED_SPACES = [
-    (RowSpaceKind.EXHAUSTIVE, 3, None),
-    (RowSpaceKind.EXHAUSTIVE, 5, (4,)),
-    (RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT, 3, None),
-    (RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT, 5, None),
-]
-
-
 class TestEnumeratedRows:
-    """The enumerated source against the walk with pruning off, which
-    builds every row of the window."""
+    """The enumerated source of GF(2^4) constrained blocks, k = 3 and 5
+    (odd k | q - 1 = 15), against the walk with pruning off, which builds
+    every row of the window."""
 
-    def job(self, ctx, kind, k, g_set, **kw):
-        return SearchJob(ctx, k, Target.INVOLUTORY_MDS, RowSpace(kind), g_set=g_set, **kw)
+    def job(self, ctx, k, **kw):
+        return constrained_job(ctx, k, Target.INVOLUTORY_MDS, **kw)
 
     def windows(self, rng, job, smallest, largest):
-        """Four windows of smallest..largest tokens (at most the block) in
-        the last g block: three hold a hit of the job, one starts anywhere."""
+        """Four windows of smallest..largest tokens (at most the block):
+        three hold a hit of the job, one starts anywhere."""
         per_g = job.per_g_size()
-        base = (len(job.g_set) - 1) * per_g
         hits = [r.token for r in run_search(job)]
-        assert hits and all(base <= token for token in hits)
+        assert hits
         out = []
-        for anchor in [*rng.sample(hits, 3), base + rng.randrange(per_g)]:
+        for anchor in [*rng.sample(hits, 3), rng.randrange(per_g)]:
             width = min(rng.randrange(smallest, largest + 1), per_g)
-            start = min(max(anchor - rng.randrange(width), base), base + per_g - width)
+            start = min(max(anchor - rng.randrange(width), 0), per_g - width)
             out.append((start, start + width))
         return out
 
-    @pytest.mark.parametrize("kind, k, g_set", ENUMERATED_SPACES)
-    def test_windows_match_the_unpruned_walk(self, gf16, enumerated, kind, k, g_set):
-        rng = random.Random(k * 10 + len(kind.value))
-        job = self.job(gf16, kind, k, g_set)
-        g = job.g_set[-1]
-        count = 15 ** len(search_mod.square_plan(k, g)[1])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_windows_match_the_unpruned_walk(self, gf16, enumerated, k):
+        rng = random.Random(k * 10)
+        job = self.job(gf16, k)
+        count = involutory_row_count(16, k, k - 1)
         assert count == {3: 15, 5: 225}[k]
         for start, stop in self.windows(rng, job, count, count + 1500):
             window = replace(job, resume_token=start, stop_token=stop)
             enumerated.clear()  # windows() ran the whole job
             walked = []
             hits = list(run_search(replace(window, debug_recheck=1.0), on_progress=walked.append))
-            assert enumerated == [(k, g)] and walked == list(range(start, stop))
+            assert enumerated == [(k, k - 1)] and walked == list(range(start, stop))
             assert hits == collect(replace(window, pruning=False)), (start, stop)
 
-    @pytest.mark.parametrize("kind, k, g_set", ENUMERATED_SPACES)
-    def test_small_windows_walk(self, gf16, enumerated, kind, k, g_set):
-        rng = random.Random(k * 10 + len(kind.value) + 1)
-        job = self.job(gf16, kind, k, g_set)
-        count = 15 ** len(search_mod.square_plan(k, job.g_set[-1])[1])
-        windows = self.windows(rng, job, 1, count - 1)
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_small_windows_walk(self, gf16, enumerated, k):
+        rng = random.Random(k * 10 + 1)
+        job = self.job(gf16, k)
+        windows = self.windows(rng, job, 1, involutory_row_count(16, k, k - 1) - 1)
         enumerated.clear()
         for start, stop in windows:
             window = replace(job, resume_token=start, stop_token=stop)
             assert collect(window) == collect(replace(window, pruning=False)), (start, stop)
         assert enumerated == []
 
-    @pytest.mark.parametrize("kind, k, g_set", ENUMERATED_SPACES)
-    def test_parts_concatenate(self, gf16, enumerated, kind, k, g_set):
-        rng = random.Random(k * 10 + len(kind.value) + 2)
-        job = self.job(gf16, kind, k, g_set)
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_parts_concatenate(self, gf16, enumerated, k):
+        rng = random.Random(k * 10 + 2)
+        job = self.job(gf16, k)
         start, stop = self.windows(rng, job, 3000, 6000)[0]
         window = replace(job, resume_token=start, stop_token=stop)
         whole = collect(replace(window, pruning=False))
@@ -698,35 +686,39 @@ class TestEnumeratedRows:
             assert parts == whole and tokens == list(range(start, stop)), n
         assert enumerated
 
-    @pytest.mark.parametrize("m, modulus, k, g", [(4, 0x13, 3, 2), (4, 0x13, 5, 4), (8, 0x11D, 3, 2), (8, 0x11D, 5, 4)])
-    def test_rows_are_the_admitted_rows_that_square_to_identity(self, m, modulus, k, g):
+    @pytest.mark.parametrize("m, modulus, k", [(4, 0x13, 3), (4, 0x13, 5), (8, 0x11D, 3), (8, 0x11D, 5)])
+    def test_rows_are_the_walked_rows_that_square_to_identity(self, m, modulus, k):
         rng = random.Random(m * 10 + k)
-        job = exhaustive_job(GF2m(m, modulus), k, Target.INVOLUTORY_MDS, g_set=(g,))
+        ctx = GF2m(m, modulus)
+        job, g = self.job(ctx, k), k - 1
         per_g = job.per_g_size()
         every = search_mod._enumerated_rows(job, g, 0, per_g)
+        assert len(every) == involutory_row_count(ctx.q, k, g)
         for ordinal, row in rng.sample(every, 4):
-            start = max(ordinal - rng.randrange(50_000), 0)
-            stop = min(ordinal + rng.randrange(1, 50_000), per_g)
+            start = max(ordinal - rng.randrange(5000), 0)
+            stop = min(ordinal + rng.randrange(1, 5000), per_g)
             for lo, hi in (start, stop), (ordinal, stop), (start, ordinal):  # and an edge on a row
-                admitted = [
-                    (o, r)
-                    for o, r in search_mod._admitted_rows(job, g, lo, hi)
-                    if square_is_identity(GCirculantSpec(job.ctx, k, g, r))
-                ]
-                assert search_mod._enumerated_rows(job, g, lo, hi) == admitted, (lo, hi)
-                assert ((ordinal, row) in admitted) == (hi > ordinal)
+                walked = [(o, job.row_at(g, o)) for o in range(lo, hi)]
+                walked = [(o, r) for o, r in walked if square_is_identity(GCirculantSpec(ctx, k, g, r))]
+                assert search_mod._enumerated_rows(job, g, lo, hi) == walked, (lo, hi)
+                assert ((ordinal, row) in walked) == (hi > ordinal)
 
     def test_enumeration_is_capped(self):
         # 255^2 rows of GF(2^8), k = 5 fit the cap; 4095^2 of GF(2^12) do not,
         # though they fit a window of 2^24 tokens
         for m, modulus, enumerates in (8, 0x11D, True), (12, 0x1053, False):
-            job = exhaustive_job(GF2m(m, modulus), 5, Target.INVOLUTORY_MDS, g_set=(4,))
+            job = self.job(GF2m(m, modulus), 5)
             assert search_mod._enumerates(job, 4, 0, 1 << 24) is enumerates
 
-    def test_random_rows_never_enumerated(self, gf16, enumerated):
-        # a RANDOM row is a hash, not its numeral: the block is walked
-        # even though k = 3 divides q - 1 and the count fits the window
-        job = SearchJob(gf16, 3, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=3000, seed=0), g_set=(2,))
+    @pytest.mark.parametrize(
+        "row_space",
+        [RowSpace(RowSpaceKind.RANDOM, count=3000, seed=0), RowSpace(RowSpaceKind.EXHAUSTIVE)],
+        ids=["random", "exhaustive"],
+    )
+    def test_only_constrained_rows_enumerated(self, gf16, enumerated, row_space):
+        # k = 3 divides q - 1 and g = 2 squares to 1, yet a RANDOM row is a
+        # hash, not its numeral, and an EXHAUSTIVE block builds _admitted_rows
+        job = SearchJob(gf16, 3, Target.INVOLUTORY_MDS, row_space, g_set=(2,))
         hits = collect(job)
         assert hits and hits == collect(replace(job, pruning=False))
         assert enumerated == []
