@@ -200,25 +200,34 @@ def involutory_rows(ctx: GF2m, k: int, g: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def square_rules_hold(k: int, g: int, row) -> bool:
+    """The square law's linear stage, from the bare row: each rule of
+    square_plan(k, g) sums its c_j to its target (1 at l = 0, else 0).
+    Needs g^2 = 1 (mod k). Exits at the first failure."""
+    for i, others, target in square_plan(k, g)[0]:
+        acc = row[i]
+        for j in others:
+            acc ^= row[j]
+        if acc != target:
+            return False
+    return True
+
+
 def square_is_identity(spec: GCirculantSpec) -> bool:
     """A @ A = I for a spec with g^2 = 1 (mod k), from the first row alone.
 
     Swapping i and j maps the pairs of square_structured's row2[l] onto
     those of row2[g*l]. On a fixed l (g*l = l) each pair with i != j
     cancels its swap in characteristic 2, so row2[l] is the square of the
-    sum of c_i over (g+1)*i = l, which must be 1 at l = 0 and 0 elsewhere;
-    each other orbit {l, g*l} needs one product sum to vanish. Exits at
-    the first failure."""
+    sum of c_i over (g+1)*i = l, which must be 1 at l = 0 and 0 elsewhere:
+    that linear stage is square_rules_hold, which the search also runs on
+    a bare row before it builds a spec. Each other orbit {l, g*l} needs
+    one product sum to vanish. Exits at the first failure."""
     row = spec.row
-    rules, orbits = square_plan(spec.k, spec.g)
-    for i, others, target in rules:
-        acc = row[i]
-        for j in others:
-            acc ^= row[j]
-        if acc != target:
-            return False
+    if not square_rules_hold(spec.k, spec.g, row):
+        return False
     mul = spec.ctx.mul
-    for pairs in orbits:
+    for pairs in square_plan(spec.k, spec.g)[1]:
         acc = 0
         for i, j in pairs:
             acc ^= mul(row[i], row[j])

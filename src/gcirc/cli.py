@@ -218,10 +218,16 @@ def _cmd_search(args) -> int:
     started = time.monotonic()
     progress = {"token": job.window()[0] - 1, "hits": 0}
 
+    def walked(first: int, stop: int) -> None:
+        progress["token"] = stop - 1
+        if args.verbose:  # a line at each token t with (t + 1) % 100000 == 0
+            for token in range(first + (-first - 1) % 100000, stop, 100000):
+                print(f"...processed through token {token}", file=sys.stderr)
+
     def on_progress(token: int) -> None:
-        progress["token"] = token
-        if args.verbose and (token + 1) % 100000 == 0:
-            print(f"...processed through token {token}", file=sys.stderr)
+        walked(token, token + 1)
+
+    on_progress.walked = walked  # run_search reports a skipped range in one call
 
     try:
         for result in run_search(job, on_progress=on_progress):

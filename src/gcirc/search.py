@@ -35,6 +35,7 @@ from .circulant import (
     involutory_rows,
     square_is_identity,
     square_plan,
+    square_rules_hold,
 )
 from .errors import ConfigError, DimensionError, RecheckError, ResumeTokenError, SpaceTooLargeError
 from .field import GF2m
@@ -153,9 +154,8 @@ class SearchJob:
         if kind is RowSpaceKind.EXHAUSTIVE:
             return _base_q_digits(ordinal, q, self.k)
         if kind is RowSpaceKind.RANDOM:
-            return tuple(
-                _hash_entry(self.row_space.seed, ordinal, pos, q) for pos in range(self.k)
-            )
+            seed = self.row_space.seed
+            return tuple([_hash_entry(seed, ordinal, pos, q) for pos in range(self.k)])
         return _constrained_row(ordinal, q, self.k)
 
 
@@ -183,11 +183,16 @@ def _constrained_row(ordinal: int, q: int, k: int) -> tuple[int, ...]:
     return (c0, *tail)
 
 
+_PACK_ENTRY = struct.Struct("<QQQ").pack
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)  # never updated: each entry hashes a copy
+
+
 def _hash_entry(seed: int, ordinal: int, pos: int, q: int) -> int:
-    raw = hashlib.blake2b(
-        struct.pack("<QQQ", seed, ordinal, pos), digest_size=8
-    ).digest()
-    return int.from_bytes(raw, "little") & (q - 1)
+    """The low bits of blake2b-64 over (seed, ordinal, pos) as three
+    little-endian 64-bit words: entry pos of a RANDOM row."""
+    h = _BLAKE2B_8.copy()
+    h.update(_PACK_ENTRY(seed, ordinal, pos))
+    return int.from_bytes(h.digest(), "little") & (q - 1)
 
 
 def _hash_unit(salt: int, token: int) -> float:
@@ -306,7 +311,10 @@ def _candidates(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int,
     INVOLUTORY_MDS A^2 != I (an EXHAUSTIVE block builds only
     _admitted_rows); with pruning on or off, a constrained row outside
     the row space, whose membership is A^2 = I (a block _enumerates
-    builds only its _enumerated_rows)."""
+    builds only its _enumerated_rows). The square law's linear stage,
+    square_rules_hold, runs on the bare row, so a spec is built only for
+    a row that passes it; every constrained row and every admitted row
+    already does."""
     involutory = job.pruning and job.target is Target.INVOLUTORY_MDS
     squared = involutory or job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
     if job.pruning and _g_pruned(job, g):
@@ -320,27 +328,51 @@ def _candidates(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int,
     for ordinal, row in rows:
         if job.pruning and 0 in row:  # MDS needs every entry nonzero
             continue
+        if squared and not square_rules_hold(job.k, g, row):
+            continue
         spec = GCirculantSpec(job.ctx, job.k, g, row)
         if not squared or square_is_identity(spec):
             yield ordinal, spec
 
 
+def _range_progress(on_progress: Callable[[int], None] | None) -> Callable[[int, int], None] | None:
+    """The hook's walked(first, stop) method, which takes the tokens
+    [first, stop) in one call; for a hook without one, a walk that calls
+    on_progress(token) once per token."""
+    if on_progress is None:
+        return None
+    walked = getattr(on_progress, "walked", None)
+    if walked is None:
+
+        def walked(first: int, stop: int) -> None:
+            for token in range(first, stop):
+                on_progress(token)
+
+    return walked
+
+
 def _walk_skipped(
-    job: SearchJob, g: int, base: int, lo: int, hi: int, on_progress: Callable[[int], None] | None
+    job: SearchJob, g: int, base: int, lo: int, hi: int, progress: Callable[[int, int], None] | None
 ) -> None:
-    """Walk the ordinals [lo, hi) of g's block that _candidates skipped.
-    debug_recheck rebuilds that fraction of them with row_at and asserts
-    that the full report rejects each row of the job's row space, raising
-    RecheckError on one it accepts."""
+    """Walk the ordinals [lo, hi) of g's block that _candidates skipped,
+    reporting them to progress in one call. debug_recheck instead walks
+    and reports them one token at a time, so progress keeps pace with its
+    slow rebuilds: it rebuilds that fraction of them with row_at and
+    asserts that the full report rejects each row of the job's row space,
+    raising RecheckError on one it accepts."""
+    if not job.debug_recheck:
+        if progress is not None and lo < hi:
+            progress(base + lo, base + hi)
+        return
     for ordinal in range(lo, hi):
         token = base + ordinal
-        if job.debug_recheck and _hash_unit(0xDEB06, token) < job.debug_recheck:
+        if _hash_unit(0xDEB06, token) < job.debug_recheck:
             spec = GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal))
             member = job.row_space.kind is not RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT or square_is_identity(spec)
             if member and target_satisfied(full_report(build_g_circulant(spec)), job.target):
                 raise RecheckError(f"pruning dropped a qualifying candidate: {spec}")
-        if on_progress is not None:
-            on_progress(token)
+        if progress is not None:
+            progress(token, token + 1)
 
 
 def run_search(
@@ -351,10 +383,14 @@ def run_search(
     Results come out in ascending (g, ordinal) order. Each token that
     _candidates yields is decided by target_satisfied on one
     full_report, which the hit carries; the tokens between them are
-    walked by _walk_skipped. on_progress(token) runs once the token is
-    walked, for every token of the window: for a hit, only when the
-    consumer asks for the next result, so a consumer that must know its
-    place while it handles a hit reads the hit's token.
+    walked by _walk_skipped. Progress is reported once a token is walked,
+    for every token of the window: for a hit, only when the consumer asks
+    for the next result, so a consumer that must know its place while it
+    handles a hit reads the hit's token. A hook with a walked(first, stop)
+    method gets its tokens through that method: one call per skipped
+    range, and one per token that gets a full report or that
+    debug_recheck walks. Every other hook gets on_progress(token) once
+    per token.
     """
     start, stop = job.window()
     if stop - start > CANDIDATE_CAP:
@@ -362,20 +398,22 @@ def run_search(
             f"a window of over 2^{(stop - start - 1).bit_length() - 1} candidates exceeds"
             f" the 2^{CANDIDATE_CAP.bit_length() - 1} cap; partition the job"
         )
+    progress = _range_progress(on_progress)
     per_g = job.per_g_size()
     for gi, g in enumerate(job.g_set):
         base = gi * per_g
         lo, hi = max(start - base, 0), min(stop - base, per_g)
         walked = lo  # the next ordinal not yet walked
         for ordinal, spec in _candidates(job, g, lo, hi):
-            _walk_skipped(job, g, base, walked, ordinal, on_progress)
+            _walk_skipped(job, g, base, walked, ordinal, progress)
             report = full_report(build_g_circulant(spec))
+            token = base + ordinal
             if target_satisfied(report, job.target):
-                yield SearchResult(spec, report, ordinal, base + ordinal)
-            if on_progress is not None:
-                on_progress(base + ordinal)
+                yield SearchResult(spec, report, ordinal, token)
+            if progress is not None:
+                progress(token, token + 1)
             walked = ordinal + 1
-        _walk_skipped(job, g, base, walked, hi, on_progress)
+        _walk_skipped(job, g, base, walked, hi, progress)
 
 
 def job_part(job: SearchJob, index: int, n_parts: int) -> SearchJob:

@@ -664,6 +664,89 @@ class TestSearch:
         assert "--resume 40" in err
 
 
+class TestRangeProgress:
+    """run_search reports a range of tokens the filters skip with one call
+    to the CLI hook's walked method; -v, the footer and --resume still
+    count every token."""
+
+    # GF(2^8), k = 5: g = 2, 3 fail g^2 = 1 (mod 5) and g = 1 forces an entry
+    # to 0, so tokens 0..149999 are three pruned blocks, each one range
+    JOB = {
+        "field": {"m": 8, "poly": "0x11d"},
+        "k": 5,
+        "target": "INVOLUTORY_MDS",
+        "row_space": {"kind": "RANDOM", "count": 50000, "seed": 16},
+    }
+
+    def search(self, capsys, tmp_path, *extra, **window):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({**self.JOB, **window}))
+        return run(capsys, ["-v", "search", str(path), *extra])
+
+    @staticmethod
+    def progress_lines(err):
+        return re.findall(r"^\.\.\.processed through token (\d+)$", err, re.M)
+
+    def test_whole_job(self, capsys, tmp_path):
+        code, out, err = self.search(capsys, tmp_path)
+        assert code == 0
+        assert self.progress_lines(err) == ["99999", "199999"]
+        assert f"search done: 200000 candidates, {len(out.splitlines())} results, " in err
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(30000, 140000), (60000, 100000), (99999, 100000), (120000, 160000), (99999, 150000), (100000, 100000)],
+    )
+    def test_windows(self, capsys, tmp_path, start, stop):
+        code, _, err = self.search(capsys, tmp_path, resume_token=start, stop_token=stop)
+        assert code == 0
+        expected = [str(t) for t in range(start, stop) if (t + 1) % 100000 == 0]
+        assert self.progress_lines(err) == expected
+        assert f"search done: {stop - start} candidates, 0 results, " in err
+
+    def test_resume_inside_a_pruned_block(self, capsys, tmp_path):
+        code, _, err = self.search(capsys, tmp_path, "--resume", "75000", stop_token=125000)
+        assert code == 0
+        assert self.progress_lines(err) == ["99999"]
+        assert "search done: 50000 candidates, 0 results, " in err
+
+    def test_interrupt_in_a_skipped_range(self, capsys, tmp_path, monkeypatch):
+        # GF(16), k = 3: g = 1 is pruned and g = 2 builds every row with
+        # row_at, so the n-th row_at call interrupts g = 2's walk between
+        # hits, after the pruned block was reported as one range
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "field": {"m": 4, "poly": "0x13"},
+            "k": 3,
+            "target": "INVOLUTORY_MDS",
+            "row_space": {"kind": "RANDOM", "count": 3000, "seed": 0},
+            "g_set": [1, 2],
+        }))
+        argv = ["search", str(path)]
+        _, whole, _ = run(capsys, argv)
+        ordinals = [json.loads(line)["ordinal"] for line in whole.splitlines()]
+        assert len(ordinals) >= 3
+        row_at = search_mod.SearchJob.row_at
+        # before the first row, at the first hit, just after it, between two hits, at the last row
+        for n in (1, ordinals[0] + 1, ordinals[0] + 2, (ordinals[1] + ordinals[2]) // 2 + 1, 3000):
+            calls = []
+
+            def interrupt_nth(job, g, ordinal):
+                calls.append(ordinal)
+                if len(calls) == n:
+                    raise KeyboardInterrupt
+                return row_at(job, g, ordinal)
+
+            monkeypatch.setattr(search_mod.SearchJob, "row_at", interrupt_nth)
+            code, head, err = run(capsys, argv)
+            monkeypatch.setattr(search_mod.SearchJob, "row_at", row_at)
+            assert code == 130
+            token = int(re.search(r"--resume (\d+)", err).group(1))
+            assert 3000 <= token <= 3000 + n - 1, n
+            _, tail, _ = run(capsys, argv + ["--resume", str(token)])
+            assert head + tail == whole, n
+
+
 class InterruptAfterLines(io.StringIO):
     """A stdout that raises KeyboardInterrupt once `lines` lines are written."""
 

@@ -1,8 +1,10 @@
 """Search harness: soundness, completeness, determinism, resume and
 partition equality, constrained rows, and guards."""
 
+import hashlib
 import json
 import random
+import struct
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -435,6 +437,36 @@ class TestDeterminism:
         assert job.row_at(1, 15) == (3, 3)
 
 
+def hash_entry_oracle(seed, ordinal, pos, q):
+    """Entry pos of a RANDOM row, by the formula as first written."""
+    raw = hashlib.blake2b(struct.pack("<QQQ", seed, ordinal, pos), digest_size=8).digest()
+    return int.from_bytes(raw, "little") & (q - 1)
+
+
+class TestRandomEntries:
+    """_hash_entry and row_at against hash_entry_oracle at the edges of
+    the 64-bit seed and ordinal ranges."""
+
+    SEEDS = [0, 1, (1 << 64) - 1, random.Random(16).randrange(1 << 64)]
+    ORDINALS = [*range(4), *range((1 << 64) - 4, 1 << 64)]
+    FIELDS = [(2, 0x7), (4, 0x13), (8, 0x11D), (16, 0x1002B)]
+
+    @pytest.mark.parametrize("m, modulus", FIELDS)
+    def test_hash_entry(self, m, modulus):
+        q = 1 << m
+        for seed, ordinal, pos in product(self.SEEDS, self.ORDINALS, range(6)):
+            assert search_mod._hash_entry(seed, ordinal, pos, q) == hash_entry_oracle(seed, ordinal, pos, q)
+
+    @pytest.mark.parametrize("m, modulus", FIELDS)
+    def test_row_at(self, m, modulus):
+        ctx, k = GF2m(m, modulus), 5
+        for seed in self.SEEDS:
+            job = SearchJob(ctx, k, Target.MDS_ONLY, RowSpace(RowSpaceKind.RANDOM, count=1 << 64, seed=seed))
+            for g, ordinal in product(job.g_set, self.ORDINALS):
+                expected = tuple(hash_entry_oracle(seed, ordinal, pos, ctx.q) for pos in range(k))
+                assert job.row_at(g, ordinal) == expected, (seed, g, ordinal)
+
+
 class TestResumePartition:
     def test_split_at_any_token(self, gf16):
         job = exhaustive_job(gf16, 2, Target.SEMI_INVOLUTORY_MDS)
@@ -751,6 +783,36 @@ class TestGuards:
         job = exhaustive_job(gf4, 2, Target.MDS_ONLY)
         list(run_search(job, on_progress=seen.append))
         assert seen == list(range(job.total_candidates()))
+
+    @pytest.mark.parametrize("recheck", [0.0, 1.0])
+    def test_range_hook_sees_every_token(self, ctx11d, recheck):
+        # a hook with walked(first, stop) gets consecutive nonempty ranges
+        # over the window: one per pruned block in it (g = 2, 3; the window
+        # starts past g = 1's), or with debug_recheck one per token; never a
+        # per-token call
+        class Hook:
+            def __init__(self):
+                self.ranges = []
+
+            def __call__(self, token):
+                raise AssertionError(f"per-token call for {token}")
+
+            def walked(self, first, stop):
+                self.ranges.append((first, stop))
+
+        job = SearchJob(
+            ctx11d, 5, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=40, seed=9),
+            resume_token=50, stop_token=130, debug_recheck=recheck,
+        )
+        hook = Hook()
+        assert list(run_search(job, on_progress=hook)) == []
+        firsts, stops = zip(*hook.ranges)
+        assert firsts == (50, *stops[:-1]) and stops[-1] == 130
+        assert all(first < stop for first, stop in hook.ranges)
+        if recheck:
+            assert hook.ranges == [(t, t + 1) for t in range(50, 130)]
+        else:
+            assert hook.ranges[:2] == [(50, 80), (80, 120)]
 
 
 class TestScalarLawOnSearchHits:
