@@ -215,8 +215,9 @@ def _cmd_search(args) -> int:
             raise ConfigError(f"partition index {part} outside 1..{total}")
         job = job_part(job, part - 1, total)
 
+    start = job.window()[0]
     started = time.monotonic()
-    progress = {"token": job.window()[0] - 1, "hits": 0}
+    progress = {"token": start - 1, "hits": 0}
 
     def walked(first: int, stop: int) -> None:
         progress["token"] = stop - 1
@@ -224,13 +225,8 @@ def _cmd_search(args) -> int:
             for token in range(first + (-first - 1) % 100000, stop, 100000):
                 print(f"...processed through token {token}", file=sys.stderr)
 
-    def on_progress(token: int) -> None:
-        walked(token, token + 1)
-
-    on_progress.walked = walked  # run_search reports a skipped range in one call
-
     try:
-        for result in run_search(job, on_progress=on_progress):
+        for result in run_search(job, on_progress=walked):
             progress["hits"] += 1
             if args.format == "json":
                 line = json.dumps(jsonio.result_to_json(result))
@@ -249,9 +245,9 @@ def _cmd_search(args) -> int:
         sys.stdout.flush()
         return EXIT_INTERRUPT
     elapsed = time.monotonic() - started
-    walked = progress["token"] + 1 - job.window()[0]
+    candidates = progress["token"] + 1 - start
     print(
-        f"search done: {walked} candidates, {progress['hits']} results, {elapsed:.2f}s",
+        f"search done: {candidates} candidates, {progress['hits']} results, {elapsed:.2f}s",
         file=sys.stderr,
     )
     return EXIT_OK

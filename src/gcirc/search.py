@@ -73,6 +73,8 @@ class RowSpace:
         if self.kind is RowSpaceKind.RANDOM:
             if self.count is None or self.count < 0:
                 raise ConfigError("RANDOM row space needs a non-negative count")
+            if self.count > 1 << 64:  # _hash_entry packs each ordinal as a 64-bit word
+                raise ConfigError("RANDOM count must be at most 2^64")
             seed = 0 if self.seed is None else self.seed
             if not 0 <= seed < 1 << 64:
                 raise ConfigError("seed must fit in 64 bits")
@@ -196,7 +198,8 @@ def _hash_entry(seed: int, ordinal: int, pos: int, q: int) -> int:
 
 
 def _hash_unit(salt: int, token: int) -> float:
-    raw = hashlib.blake2b(struct.pack("<QQ", salt, token), digest_size=8).digest()
+    """A uniform draw in [0, 1) from blake2b-64 over (salt, token mod 2^64)."""
+    raw = hashlib.blake2b(struct.pack("<QQ", salt, token % (1 << 64)), digest_size=8).digest()
     return int.from_bytes(raw, "little") / float(1 << 64)
 
 
@@ -280,13 +283,10 @@ def _enumerates(job: SearchJob, g: int, lo: int, hi: int) -> bool:
     GF(2^16), k = 3, walking about 3.7 us a token (Python 3.11, x86-64), so
     a window of exactly the row count takes 0.4x and 1.2x the walk's time
     there, and twice that window at most 0.65x."""
+    if not job.pruning or job.row_space.kind is not RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT:
+        return False
     count = involutory_row_count(job.ctx.q, job.k, g)
-    return (
-        job.pruning
-        and job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
-        and count is not None
-        and count <= min(hi - lo, ENUMERATION_CAP)
-    )
+    return count is not None and count <= min(hi - lo, ENUMERATION_CAP)
 
 
 def _enumerated_rows(job: SearchJob, g: int, lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -335,62 +335,49 @@ def _candidates(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int,
             yield ordinal, spec
 
 
-def _range_progress(on_progress: Callable[[int], None] | None) -> Callable[[int, int], None] | None:
-    """The hook's walked(first, stop) method, which takes the tokens
-    [first, stop) in one call; for a hook without one, a walk that calls
-    on_progress(token) once per token."""
-    if on_progress is None:
-        return None
-    walked = getattr(on_progress, "walked", None)
-    if walked is None:
-
-        def walked(first: int, stop: int) -> None:
-            for token in range(first, stop):
-                on_progress(token)
-
-    return walked
+def _no_progress(first: int, stop: int) -> None:
+    """run_search's default progress hook, which ignores every range."""
 
 
 def _walk_skipped(
-    job: SearchJob, g: int, base: int, lo: int, hi: int, progress: Callable[[int, int], None] | None
+    unpruned: SearchJob, g: int, base: int, lo: int, hi: int, on_progress: Callable[[int, int], None]
 ) -> None:
     """Walk the ordinals [lo, hi) of g's block that _candidates skipped,
-    reporting them to progress in one call. debug_recheck instead walks
-    and reports them one token at a time, so progress keeps pace with its
-    slow rebuilds: it rebuilds that fraction of them with row_at and
-    asserts that the full report rejects each row of the job's row space,
-    raising RecheckError on one it accepts."""
-    if not job.debug_recheck:
-        if progress is not None and lo < hi:
-            progress(base + lo, base + hi)
+    reporting them to on_progress in one call. unpruned is the job with
+    pruning off. When it has a debug_recheck fraction, the walk instead
+    goes one token at a time, so progress keeps pace with its slow
+    rebuilds, and for that fraction of the tokens runs unpruned's
+    _candidates over the one ordinal, which yields the row only if it
+    lies in the row space. A row whose full report meets the target
+    raises RecheckError."""
+    if not unpruned.debug_recheck:
+        if lo < hi:
+            on_progress(base + lo, base + hi)
         return
     for ordinal in range(lo, hi):
         token = base + ordinal
-        if _hash_unit(0xDEB06, token) < job.debug_recheck:
-            spec = GCirculantSpec(job.ctx, job.k, g, job.row_at(g, ordinal))
-            member = job.row_space.kind is not RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT or square_is_identity(spec)
-            if member and target_satisfied(full_report(build_g_circulant(spec)), job.target):
-                raise RecheckError(f"pruning dropped a qualifying candidate: {spec}")
-        if progress is not None:
-            progress(token, token + 1)
+        if _hash_unit(0xDEB06, token) < unpruned.debug_recheck:
+            for _, spec in _candidates(unpruned, g, ordinal, ordinal + 1):
+                if target_satisfied(full_report(build_g_circulant(spec)), unpruned.target):
+                    raise RecheckError(f"pruning dropped a qualifying candidate: {spec}")
+        on_progress(token, token + 1)
 
 
 def run_search(
-    job: SearchJob, on_progress: Callable[[int], None] | None = None
+    job: SearchJob, on_progress: Callable[[int, int], None] = _no_progress
 ) -> Iterator[SearchResult]:
     """Walk the job's token window and yield every verified hit.
 
     Results come out in ascending (g, ordinal) order. Each token that
     _candidates yields is decided by target_satisfied on one
     full_report, which the hit carries; the tokens between them are
-    walked by _walk_skipped. Progress is reported once a token is walked,
-    for every token of the window: for a hit, only when the consumer asks
-    for the next result, so a consumer that must know its place while it
-    handles a hit reads the hit's token. A hook with a walked(first, stop)
-    method gets its tokens through that method: one call per skipped
-    range, and one per token that gets a full report or that
-    debug_recheck walks. Every other hook gets on_progress(token) once
-    per token.
+    walked by _walk_skipped. Every token of the window is reported once
+    it is walked, by on_progress(first, stop) for the tokens
+    [first, stop): one call per skipped range, and one per token that
+    gets a full report or that debug_recheck walks, in token order. A
+    hit's token is reported only when the consumer asks for the next
+    result, so a consumer that must know its place while it handles a hit
+    reads the hit's token.
     """
     start, stop = job.window()
     if stop - start > CANDIDATE_CAP:
@@ -398,22 +385,21 @@ def run_search(
             f"a window of over 2^{(stop - start - 1).bit_length() - 1} candidates exceeds"
             f" the 2^{CANDIDATE_CAP.bit_length() - 1} cap; partition the job"
         )
-    progress = _range_progress(on_progress)
+    unpruned = replace(job, pruning=False)
     per_g = job.per_g_size()
     for gi, g in enumerate(job.g_set):
         base = gi * per_g
         lo, hi = max(start - base, 0), min(stop - base, per_g)
         walked = lo  # the next ordinal not yet walked
         for ordinal, spec in _candidates(job, g, lo, hi):
-            _walk_skipped(job, g, base, walked, ordinal, progress)
+            _walk_skipped(unpruned, g, base, walked, ordinal, on_progress)
             report = full_report(build_g_circulant(spec))
             token = base + ordinal
             if target_satisfied(report, job.target):
                 yield SearchResult(spec, report, ordinal, token)
-            if progress is not None:
-                progress(token, token + 1)
+            on_progress(token, token + 1)
             walked = ordinal + 1
-        _walk_skipped(job, g, base, walked, hi, progress)
+        _walk_skipped(unpruned, g, base, walked, hi, on_progress)
 
 
 def job_part(job: SearchJob, index: int, n_parts: int) -> SearchJob:

@@ -1,5 +1,5 @@
-"""Shared fixtures, independent oracles, and the job-file writer that the
-round-trip tests use.
+"""Shared fixtures, independent oracles, a progress-hook recorder, and the
+job-file writer that the round-trip tests use.
 
 The oracles deliberately avoid the package's code paths: field products
 by carry-less multiplication and reduction instead of log tables,
@@ -161,6 +161,18 @@ def random_spec(rng: random.Random, ctx: GF2m, k: int) -> GCirculantSpec:
 
     g = rng.choice([g for g in range(k) if gcd(g, k) == 1])
     return GCirculantSpec(ctx, k, g, random_row(rng, ctx, k))
+
+
+class RangeLog(list):
+    """A run_search progress hook: the list of (first, stop) token ranges
+    it was called with, in call order."""
+
+    def __call__(self, first: int, stop: int) -> None:
+        self.append((first, stop))
+
+    def tokens(self) -> list[int]:
+        """Every token of the ranges, in order."""
+        return [token for first, stop in self for token in range(first, stop)]
 
 
 def job_to_json(job: SearchJob) -> dict:

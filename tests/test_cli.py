@@ -642,11 +642,30 @@ class TestSearch:
         [line] = err.splitlines()
         assert line.startswith("error: pruning dropped a qualifying candidate: GCirculantSpec(")
 
+    def test_recheck_tokens_above_2_64(self, capsys, tmp_path):
+        # g = 1 with odd k is a pruned block, so debug_recheck rebuilds all 10 tokens
+        path = self.job_path(
+            tmp_path,
+            {
+                "field": {"m": 16, "poly": "0x1002b"},
+                "k": 5,
+                "target": "INVOLUTORY_MDS",
+                "row_space": {"kind": "EXHAUSTIVE"},
+                "resume_token": 1 << 70,
+                "stop_token": (1 << 70) + 10,
+                "debug_recheck": 1.0,
+            },
+        )
+        code, out, err = run(capsys, ["search", path])
+        assert (code, out) == (0, "")
+        assert err.startswith("search done: 10 candidates, 0 results, ")
+
     def test_interrupt_prints_resume_token(self, capsys, tmp_path, monkeypatch):
-        def interrupted(job, on_progress=None):
-            for token in range(job.window()[0], job.window()[0] + 40):
-                if on_progress is not None:
-                    on_progress(token)
+        def interrupted(job, on_progress):
+            start = job.window()[0]
+            on_progress(start, start + 30)
+            for token in range(start + 30, start + 40):
+                on_progress(token, token + 1)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_mod, "run_search", interrupted)
@@ -878,6 +897,8 @@ class TestUsageErrors:
             (["check", {"k": 2, "row": ["0x1", "0x0"], "field": FIELD}], 2, "spec JSON needs either 'g' or 'rho'"),
             (["search", {**JOB, "row_space": {"kind": "RANDOM", "count": 3, "seed": 1 << 64}}], 2,
              "seed must fit in 64 bits"),
+            (["search", {**JOB, "row_space": {"kind": "RANDOM", "count": (1 << 64) + 1, "seed": 1}}], 2,
+             "RANDOM count must be at most 2^64"),
             (["search", {**JOB, "k": 0}], 2, "order must be >= 1, got 0"),
             (["search", {**JOB, "debug_recheck": 1.5}], 2, "debug_recheck must be a fraction in [0, 1]"),
             # several bad keys: the first in reading order is named

@@ -37,7 +37,7 @@ from gcirc import (
 from gcirc.circulant import involutory_row_count
 from gcirc.jsonio import job_from_json, result_to_json
 from gcirc.search import job_part
-from conftest import diagonal, elimination_mds, is_involutory, job_to_json, sandwich_pair_exists, schoolbook_pow
+from conftest import RangeLog, diagonal, elimination_mds, is_involutory, job_to_json, sandwich_pair_exists, schoolbook_pow
 
 # every candidate of the three exhaustive spaces; the GF(2^4), k = 3
 # sample adds non-symmetric g-circulants, on which involutory and
@@ -158,9 +158,9 @@ class TestPrunedGBlocks:
     def test_rows_built_only_for_surviving_g(self, ctx11d, recorded):
         job = self.job(ctx11d)
         assert job.g_set == (1, 2, 3, 4)
-        walked = []
-        list(run_search(job, on_progress=walked.append))
-        assert walked == list(range(4 * self.COUNT))
+        walked = RangeLog()
+        list(run_search(job, on_progress=walked))
+        assert walked.tokens() == list(range(4 * self.COUNT))
         assert recorded["rows"] == [4] * self.COUNT
         assert recorded["hash"] == self.COUNT * 5
 
@@ -169,16 +169,16 @@ class TestPrunedGBlocks:
         job = SearchJob(
             ctx11d, k, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=self.COUNT, seed=9), g_set=(1,)
         )
-        walked = []
-        assert list(run_search(job, on_progress=walked.append)) == []
-        assert walked == list(range(self.COUNT))
+        walked = RangeLog()
+        assert list(run_search(job, on_progress=walked)) == []
+        assert walked.tokens() == list(range(self.COUNT))
         assert recorded["rows"] == [] and recorded["hash"] == 0
 
     def test_debug_recheck_rebuilds_every_pruned_candidate(self, ctx11d, recorded):
         job = self.job(ctx11d, debug_recheck=1.0)
-        walked = []
-        assert list(run_search(job, on_progress=walked.append)) == []
-        assert walked == list(range(4 * self.COUNT))
+        walked = RangeLog()
+        assert list(run_search(job, on_progress=walked)) == []
+        assert walked.tokens() == list(range(4 * self.COUNT))
         # every candidate is pruned, so every one is rebuilt and re-checked, in token order
         assert [(s.g, s.row) for s in recorded["built"]] == [
             (g, job.row_at(g, o)) for g in job.g_set for o in range(self.COUNT)
@@ -260,21 +260,21 @@ class TestAdmittedRows:
             start = rng.randrange(total + 1)
             stop = min(total, start + rng.randrange(1, 600))
             window = replace(job, resume_token=start, stop_token=stop, debug_recheck=1.0)
-            walked = []
-            list(run_search(window, on_progress=walked.append))
-            assert walked == list(range(start, stop))
+            walked = RangeLog()
+            list(run_search(window, on_progress=walked))
+            assert walked.tokens() == list(range(start, stop))
 
     def test_partitions_concatenate(self, gf16):
         job = exhaustive_job(gf16, 3, Target.INVOLUTORY_MDS)
         whole = collect(job)
         assert len(whole) == 12
         for n in (2, 7, 64):
-            tokens = []
+            walked = RangeLog()
             parts = []
             for i in range(n):
                 part = job_part(job, i, n)
-                parts += run_search(part, on_progress=tokens.append)
-            assert parts == whole and tokens == list(range(job.total_candidates()))
+                parts += run_search(part, on_progress=walked)
+            assert parts == whole and walked.tokens() == list(range(job.total_candidates()))
 
     @pytest.mark.parametrize("start", [0, 13_000, 65_536, 100_000])
     def test_gf16_k4_hits_equal_unpruned(self, gf16, start):
@@ -464,6 +464,17 @@ class TestRandomEntries:
             for g, ordinal in product(job.g_set, self.ORDINALS):
                 expected = tuple(hash_entry_oracle(seed, ordinal, pos, ctx.q) for pos in range(k))
                 assert job.row_at(g, ordinal) == expected, (seed, g, ordinal)
+
+
+    def test_recheck_sample(self):
+        # debug_recheck samples a token below 2^64 by the formula as first
+        # written, and any other token as that token mod 2^64
+        def unit(token):
+            raw = hashlib.blake2b(struct.pack("<QQ", 0xDEB06, token % (1 << 64)), digest_size=8).digest()
+            return int.from_bytes(raw, "little") / float(1 << 64)
+
+        for token in [*self.ORDINALS, *(t + (1 << 64) for t in self.ORDINALS), 1 << 70, (1 << 80) + 3]:
+            assert search_mod._hash_unit(0xDEB06, token) == unit(token), token
 
 
 class TestResumePartition:
@@ -685,9 +696,9 @@ class TestEnumeratedRows:
         for start, stop in self.windows(rng, job, count, count + 1500):
             window = replace(job, resume_token=start, stop_token=stop)
             enumerated.clear()  # windows() ran the whole job
-            walked = []
-            hits = list(run_search(replace(window, debug_recheck=1.0), on_progress=walked.append))
-            assert enumerated == [(k, k - 1)] and walked == list(range(start, stop))
+            walked = RangeLog()
+            hits = list(run_search(replace(window, debug_recheck=1.0), on_progress=walked))
+            assert enumerated == [(k, k - 1)] and walked.tokens() == list(range(start, stop))
             assert hits == collect(replace(window, pruning=False)), (start, stop)
 
     @pytest.mark.parametrize("k", [3, 5])
@@ -711,10 +722,10 @@ class TestEnumeratedRows:
         assert whole
         enumerated.clear()
         for n in (2, 3, 7):
-            tokens, parts = [], []
+            walked, parts = RangeLog(), []
             for i in range(n):
-                parts += run_search(job_part(window, i, n), on_progress=tokens.append)
-            assert parts == whole and tokens == list(range(start, stop)), n
+                parts += run_search(job_part(window, i, n), on_progress=walked)
+            assert parts == whole and walked.tokens() == list(range(start, stop)), n
         assert enumerated
 
     @pytest.mark.parametrize("m, modulus, k", [(4, 0x13, 3), (4, 0x13, 5), (8, 0x11D, 3), (8, 0x11D, 5)])
@@ -778,40 +789,83 @@ class TestGuards:
             RowSpace(RowSpaceKind.EXHAUSTIVE, count=5)
 
     def test_progress_callback_sees_every_token(self, gf4):
-        seen = []
+        seen = RangeLog()
         job = exhaustive_job(gf4, 2, Target.MDS_ONLY)
-        list(run_search(job, on_progress=seen.append))
-        assert seen == list(range(job.total_candidates()))
+        list(run_search(job, on_progress=seen))
+        assert seen.tokens() == list(range(job.total_candidates()))
 
     @pytest.mark.parametrize("recheck", [0.0, 1.0])
     def test_range_hook_sees_every_token(self, ctx11d, recheck):
-        # a hook with walked(first, stop) gets consecutive nonempty ranges
-        # over the window: one per pruned block in it (g = 2, 3; the window
-        # starts past g = 1's), or with debug_recheck one per token; never a
-        # per-token call
-        class Hook:
-            def __init__(self):
-                self.ranges = []
+        # a hook gets consecutive nonempty ranges over the window: one per
+        # pruned block in it (g = 2, 3; the window starts past g = 1's), or
+        # with debug_recheck one per token; only ever as (first, stop)
+        ranges = []
 
-            def __call__(self, token):
-                raise AssertionError(f"per-token call for {token}")
-
-            def walked(self, first, stop):
-                self.ranges.append((first, stop))
+        def hook(first, stop):
+            ranges.append((first, stop))
 
         job = SearchJob(
             ctx11d, 5, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=40, seed=9),
             resume_token=50, stop_token=130, debug_recheck=recheck,
         )
-        hook = Hook()
         assert list(run_search(job, on_progress=hook)) == []
-        firsts, stops = zip(*hook.ranges)
+        firsts, stops = zip(*ranges)
         assert firsts == (50, *stops[:-1]) and stops[-1] == 130
-        assert all(first < stop for first, stop in hook.ranges)
+        assert all(first < stop for first, stop in ranges)
         if recheck:
-            assert hook.ranges == [(t, t + 1) for t in range(50, 130)]
+            assert ranges == [(t, t + 1) for t in range(50, 130)]
         else:
-            assert hook.ranges[:2] == [(50, 80), (80, 120)]
+            assert ranges[:2] == [(50, 80), (80, 120)]
+
+
+def split_at(ranges, cuts):
+    """The (first, stop) ranges with each one split at every cut strictly inside it."""
+    out = []
+    for first, stop in ranges:
+        for cut in sorted(c for c in cuts if first < c < stop):
+            out.append((first, cut))
+            first = cut
+        out.append((first, stop))
+    return out
+
+
+# one job per row source that decides which tokens get a full report
+ROW_SOURCES = {
+    "walk": lambda: exhaustive_job(GF2m(2, 0x7), 3, Target.MDS_ONLY),
+    "admitted": lambda: exhaustive_job(GF2m(4, 0x13), 3, Target.INVOLUTORY_MDS, resume_token=100, stop_token=7000),
+    "enumerated": lambda: constrained_job(GF2m(4, 0x13), 5, Target.INVOLUTORY_MDS),
+    "random-pruned": lambda: SearchJob(
+        GF2m(8, 0x11D), 5, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=40, seed=9),
+        resume_token=30, stop_token=155,
+    ),
+    "unpruned": lambda: constrained_job(GF2m(4, 0x13), 3, Target.INVOLUTORY_MDS, pruning=False),
+    "recheck": lambda: SearchJob(
+        GF2m(8, 0x11D), 5, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=40, seed=9),
+        resume_token=30, stop_token=155, debug_recheck=1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("source", ROW_SOURCES)
+def test_progress_ranges_cover_the_window(source, enumerated):
+    job = ROW_SOURCES[source]()
+    start, stop = job.window()
+    whole = RangeLog()
+    hits = list(run_search(job, on_progress=whole))
+    assert all(a < b for a, b in whole)
+    firsts, stops = zip(*whole)
+    assert firsts == (start, *stops[:-1]) and stops[-1] == stop
+    assert (enumerated != []) == (source == "enumerated")
+    if source == "recheck":
+        assert whole == [(t, t + 1) for t in range(start, stop)]
+    else:
+        assert len(whole) < stop - start  # some range holds skipped tokens
+    for n in (3, 7):
+        part_jobs = [job_part(job, i, n) for i in range(n)]
+        hooks = [RangeLog() for _ in part_jobs]
+        assert [hit for part, hook in zip(part_jobs, hooks) for hit in run_search(part, on_progress=hook)] == hits
+        cuts = [part.window()[0] for part in part_jobs[1:]]
+        assert [r for hook in hooks for r in hook] == split_at(whole, cuts), n
 
 
 class TestScalarLawOnSearchHits:
