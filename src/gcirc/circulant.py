@@ -8,8 +8,9 @@ left-circulant. A cyclic matrix generalizes the row-to-row step to an
 arbitrary k-cycle rho via C[i,j] = c_{rho^{-i}(j)}.
 
 Structure laws computed here: the square as a (g^2, convolution row)
-pair, the characteristic-2 square law that decides A^2 = I from the
-first row when g^2 = 1 (mod k), and, for odd k dividing q - 1, the
+pair for every g, the characteristic-2 square law that decides A^2 = I
+from the bare first row when g^2 = 1 (mod k) (square_is_identity, the
+one function that decides it), and, for odd k dividing q - 1, the
 rows it admits, listed as the inverse DFTs of the units of norm 1 in
 GF(2^m)[x]/(x^k - 1) (c * sigma_g(c) = 1, sigma_g: x -> x^g). The
 laws that are only asserted (the shift relation A[i,j] = A[i+1, j+g],
@@ -22,12 +23,11 @@ arithmetic in the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from operator import xor
 
-from .errors import DimensionError, NotCoprimeError, NotKCycleError
+from .errors import DimensionError, NotKCycleError
 from .field import GF2m
 from .matrix import MAX_DIM, Matrix, Permutation
 
@@ -36,9 +36,9 @@ from .matrix import MAX_DIM, Matrix, Permutation
 class GCirculantSpec:
     """The (k, g, first row) triple that fully determines a g-circulant matrix.
 
-    g is stored reduced mod k; g = 0 is permitted at construction (the
-    constant-row degenerate) but rejected by every operation that needs
-    an invertible shift.
+    g is stored reduced mod k, and every g is allowed: g = 0 repeats the
+    first row in every row, a g not coprime to k repeats rows too, and
+    the entry law and the structured square hold for both.
     """
 
     ctx: GF2m
@@ -126,11 +126,8 @@ def square_structured(spec: GCirculantSpec):
     """The square of a g-circulant matrix as a (g^2 mod k, row) pair.
 
     row2[l] collects c_i*c_j over g*i + j = l (mod k); rebuilding with
-    the constructor reproduces A @ A exactly.
+    the constructor reproduces A @ A exactly, for every g in 0..k-1.
     """
-    d = math.gcd(spec.g, spec.k)
-    if d != 1:
-        raise NotCoprimeError(f"gcd(g={spec.g}, k={spec.k}) = {d}")
     g2 = spec.g * spec.g % spec.k
     return g2, tuple(shifted_convolution(spec.ctx, spec.row, spec.g))
 
@@ -200,34 +197,25 @@ def involutory_rows(ctx: GF2m, k: int, g: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def square_rules_hold(k: int, g: int, row) -> bool:
-    """The square law's linear stage, from the bare row: each rule of
-    square_plan(k, g) sums its c_j to its target (1 at l = 0, else 0).
-    Needs g^2 = 1 (mod k). Exits at the first failure."""
-    for i, others, target in square_plan(k, g)[0]:
-        acc = row[i]
-        for j in others:
-            acc ^= row[j]
-        if acc != target:
-            return False
-    return True
-
-
-def square_is_identity(spec: GCirculantSpec) -> bool:
-    """A @ A = I for a spec with g^2 = 1 (mod k), from the first row alone.
+def square_is_identity(ctx: GF2m, k: int, g: int, row) -> bool:
+    """A @ A = I for the g-circulant of order k with this first row, for
+    g^2 = 1 (mod k), from the row alone.
 
     Swapping i and j maps the pairs of square_structured's row2[l] onto
     those of row2[g*l]. On a fixed l (g*l = l) each pair with i != j
     cancels its swap in characteristic 2, so row2[l] is the square of the
     sum of c_i over (g+1)*i = l, which must be 1 at l = 0 and 0 elsewhere:
-    that linear stage is square_rules_hold, which the search also runs on
-    a bare row before it builds a spec. Each other orbit {l, g*l} needs
-    one product sum to vanish. Exits at the first failure."""
-    row = spec.row
-    if not square_rules_hold(spec.k, spec.g, row):
-        return False
-    mul = spec.ctx.mul
-    for pairs in square_plan(spec.k, spec.g)[1]:
+    square_plan(k, g)'s linear rules, checked first. Each other orbit
+    {l, g*l} needs one product sum to vanish. Exits at the first failure."""
+    rules, orbits = square_plan(k, g)
+    for i, others, target in rules:
+        acc = row[i]
+        for j in others:
+            acc ^= row[j]
+        if acc != target:
+            return False
+    mul = ctx.mul
+    for pairs in orbits:
         acc = 0
         for i, j in pairs:
             acc ^= mul(row[i], row[j])
@@ -241,4 +229,4 @@ def left_circulant_involutory_conditions(ctx: GF2m, row) -> bool:
     with g = k-1: the row sums to 1, and the product sum over
     g*i + j = l (mod k) vanishes for l = 1..floor((k-1)/2)."""
     row = tuple(row)
-    return bool(row) and square_is_identity(GCirculantSpec(ctx, len(row), len(row) - 1, row))
+    return bool(row) and square_is_identity(ctx, len(row), len(row) - 1, row)

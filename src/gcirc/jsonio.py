@@ -5,7 +5,8 @@ field block {"m": ..., "poly": ...} so files are self-describing.
 
 The one reader of outside values: files and the `--row` elements. Each
 value is type-checked by `_typed`, never coerced, and an error names its
-key, and a bad element its position.
+key, and a bad element its position. A key that a field block, matrix,
+spec, job or row space does not define is refused by name.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ _OPTIONAL = {
 }
 _JOB_KEYS = frozenset(("field", "k", "target", "row_space", "g_set", *_OPTIONAL["job"]))
 _ROW_SPACE_KEYS = frozenset(("kind", *_OPTIONAL["row_space"]))
+_FIELD_KEYS = frozenset(("m", "poly"))
+_MATRIX_KEYS = frozenset(("k", "entries", "field"))
+_SPEC_KEYS = frozenset(("k", "row", "field", "g", "rho"))
 _HEX_NUMBER = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+\Z")
 
 
@@ -103,9 +107,10 @@ def field_to_json(ctx: GF2m) -> dict:
 
 def field_from_json(obj) -> GF2m:
     """Read a field block; `m` must be an integer and `poly` a hex string
-    or an integer."""
-    if not isinstance(obj, dict) or not {"m", "poly"} <= obj.keys():
+    or an integer, and no other key is allowed."""
+    if not isinstance(obj, dict) or not _FIELD_KEYS <= obj.keys():
         raise ParseError(f"field block needs keys 'm' and 'poly', got {excerpt(repr(obj))}")
+    _known_keys(obj, _FIELD_KEYS, "field")
     poly = obj["poly"]
     if type(poly) is str and _HEX_NUMBER.match(poly):
         poly = int(poly, 16)
@@ -126,7 +131,8 @@ def matrix_to_json(a: Matrix) -> dict:
 def matrix_from_json(obj: dict) -> Matrix:
     """Read a matrix; `entries` must be a list of element-string lists and
     `k`, when present, an integer equal to the row count and every row's
-    length."""
+    length. No other key is allowed."""
+    _known_keys(obj, _MATRIX_KEYS, "matrix")
     ctx = field_from_json(obj.get("field", {}))
     if "entries" not in obj:
         raise ParseError("matrix JSON missing 'entries'")
@@ -153,6 +159,11 @@ def spec_to_json(spec: GCirculantSpec | CyclicSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> GCirculantSpec | CyclicSpec:
+    """Read a g-circulant spec (`g`) or a cyclic one (`rho`): exactly one
+    of the two, and no key the format does not define."""
+    _known_keys(obj, _SPEC_KEYS, "spec")
+    if "g" in obj and "rho" in obj:
+        raise ParseError("spec JSON sets both 'g' and 'rho'; give one")
     ctx = field_from_json(obj.get("field", {}))
     try:
         k = _typed(obj["k"], "k", _INT, "an integer", ParseError)

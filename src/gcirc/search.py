@@ -35,7 +35,6 @@ from .circulant import (
     involutory_rows,
     square_is_identity,
     square_plan,
-    square_rules_hold,
 )
 from .errors import ConfigError, DimensionError, RecheckError, ResumeTokenError, SpaceTooLargeError
 from .field import GF2m
@@ -311,10 +310,8 @@ def _candidates(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int,
     INVOLUTORY_MDS A^2 != I (an EXHAUSTIVE block builds only
     _admitted_rows); with pruning on or off, a constrained row outside
     the row space, whose membership is A^2 = I (a block _enumerates
-    builds only its _enumerated_rows). The square law's linear stage,
-    square_rules_hold, runs on the bare row, so a spec is built only for
-    a row that passes it; every constrained row and every admitted row
-    already does."""
+    builds only its _enumerated_rows). square_is_identity decides A^2 = I
+    on the bare row, so a spec is built only for a row it admits."""
     involutory = job.pruning and job.target is Target.INVOLUTORY_MDS
     squared = involutory or job.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
     if job.pruning and _g_pruned(job, g):
@@ -328,11 +325,9 @@ def _candidates(job: SearchJob, g: int, lo: int, hi: int) -> Iterator[tuple[int,
     for ordinal, row in rows:
         if job.pruning and 0 in row:  # MDS needs every entry nonzero
             continue
-        if squared and not square_rules_hold(job.k, g, row):
+        if squared and not square_is_identity(job.ctx, job.k, g, row):
             continue
-        spec = GCirculantSpec(job.ctx, job.k, g, row)
-        if not squared or square_is_identity(spec):
-            yield ordinal, spec
+        yield ordinal, GCirculantSpec(job.ctx, job.k, g, row)
 
 
 def _no_progress(first: int, stop: int) -> None:

@@ -5,7 +5,6 @@ the cyclic-to-circulant equivalence and the left-circulant minors."""
 import random
 from itertools import product
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +12,6 @@ from gcirc import (
     CyclicSpec,
     GCirculantSpec,
     Matrix,
-    NotCoprimeError,
     NotKCycleError,
     Permutation,
     SingularMatrixError,
@@ -251,9 +249,19 @@ class TestStructuredSquare:
                 a = build_g_circulant(spec)
                 assert build_g_circulant(GCirculantSpec(ctx, spec.k, g2, row2)) == a @ a
 
-    def test_requires_coprime(self, gf16):
-        with pytest.raises(NotCoprimeError):
-            square_structured(GCirculantSpec(gf16, 6, 2, (1,) * 6))
+    def test_every_g(self, gf16, ctx11d):
+        # g = 0 and every g sharing a factor with k included: the square
+        # law needs no invertible shift
+        rng = random.Random(31)
+        for ctx in (gf16, ctx11d):
+            for k in range(1, 9):
+                for g in range(k):
+                    for _ in range(10):
+                        spec = GCirculantSpec(ctx, k, g, random_row(rng, ctx, k))
+                        g2, row2 = square_structured(spec)
+                        a = build_g_circulant(spec)
+                        assert g2 == g * g % k
+                        assert build_g_circulant(GCirculantSpec(ctx, k, g2, row2)) == a @ a, spec
 
 
 def square_law_gs(k):
@@ -265,6 +273,10 @@ def square_is_identity_oracle(spec):
     return row2 == (1,) + (0,) * (spec.k - 1)
 
 
+def square_law(spec):
+    return square_is_identity(spec.ctx, spec.k, spec.g, spec.row)
+
+
 class TestSquareLaw:
     """square_is_identity against the full structured square."""
 
@@ -274,7 +286,7 @@ class TestSquareLaw:
             for g in square_law_gs(k):
                 for row in product(range(4), repeat=k):
                     spec = GCirculantSpec(gf4, k, g, row)
-                    verdict = square_is_identity(spec)
+                    verdict = square_law(spec)
                     assert verdict == square_is_identity_oracle(spec), spec
                     verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -288,7 +300,7 @@ class TestSquareLaw:
                     covered.add((k, g))
                     for _ in range(12):
                         spec = GCirculantSpec(ctx, k, g, random_row(rng, ctx, k))
-                        assert square_is_identity(spec) == square_is_identity_oracle(spec), spec
+                        assert square_law(spec) == square_is_identity_oracle(spec), spec
         # the first orders with a g outside {1, k-1} and k not a power of two
         assert {(12, 5), (12, 7), (15, 4), (15, 11)} <= covered
 
@@ -305,13 +317,13 @@ class TestSquareLaw:
                         for i in rng.sample(range(1, k), 2):
                             row[i] = value
                         spec = GCirculantSpec(ctx, k, g, row)
-                        verdicts.append(square_is_identity(spec))
+                        verdicts.append(square_law(spec))
                         assert verdicts[-1] == square_is_identity_oracle(spec), spec
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_needs_g_squared_one(self, gf16):
         with pytest.raises(ValueError):
-            square_is_identity(GCirculantSpec(gf16, 5, 2, (1, 0, 0, 0, 0)))
+            square_is_identity(gf16, 5, 2, (1, 0, 0, 0, 0))
 
 
 class TestInvolutoryRows:
@@ -321,13 +333,7 @@ class TestInvolutoryRows:
     def test_equals_brute_force(self, request, field, k):
         ctx = request.getfixturevalue(field)
         for g in square_law_gs(k):
-            # one stand-in spec for all q^k rows: 2^20 frozen specs would triple the time
-            spec = SimpleNamespace(ctx=ctx, k=k, g=g, row=None)
-            brute = set()
-            for row in product(range(ctx.q), repeat=k):
-                spec.row = row
-                if square_is_identity(spec):
-                    brute.add(row)
+            brute = {row for row in product(range(ctx.q), repeat=k) if square_is_identity(ctx, k, g, row)}
             rows = involutory_rows(ctx, k, g)
             assert len(rows) == len(brute) == involutory_row_count(ctx.q, k, g), g
             assert set(rows) == brute, g

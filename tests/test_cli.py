@@ -337,6 +337,16 @@ class TestSquare:
         payload = json.loads(out)
         assert payload["row2"] == ["0x1", "0x0", "0x0", "0x0", "0x0"]
 
+    def test_g_not_coprime_to_k(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["--field-m", "4", "--field-poly", "0x13", "square", "--k", "4", "--g", "2",
+             "--row", "1", "a", "a^2", "a^3"],
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["g2"] == 0 and payload["verified"] is True
+
 
 class TestSqrt1:
     def test_examples(self, capsys):
@@ -895,6 +905,16 @@ class TestUsageErrors:
             (["check", {"entries": [["0x1", "0x0"], ["0x1"]], "field": FIELD}], 2, "ragged rows"),
             (["check", {"entries": [["0x1", "0x0"]], "field": FIELD}], 2, "MDS check needs a square matrix"),
             (["check", {"k": 2, "row": ["0x1", "0x0"], "field": FIELD}], 2, "spec JSON needs either 'g' or 'rho'"),
+            (["check", {"k": 2, "g": 1, "rho": [1, 0], "row": ["0x1", "0x2"], "field": FIELD}], 2,
+             "spec JSON sets both 'g' and 'rho'; give one"),
+            (["check", {"k": 2, "g": 1, "row": ["0x1", "0x2"], "bogus": 1, "field": FIELD}], 2,
+             "unknown spec key 'bogus'"),
+            (["check", {"entries": [["0x1"]], "bogus": 1, "field": FIELD}], 2, "unknown matrix key 'bogus'"),
+            (["check", {"entries": [["0x1"]], "g": 5, "field": FIELD}], 2, "unknown matrix key 'g'"),
+            (["check", {"k": 2, "g": 1, "row": ["0x1", "0x2"], "field": {**FIELD, "modulus": "0x19"}}], 2,
+             "unknown field key 'modulus'"),
+            (["search", {**JOB, "field": {**FIELD, "modulus": "0x19"}}], 2,
+             "malformed job: unknown field key 'modulus'"),
             (["search", {**JOB, "row_space": {"kind": "RANDOM", "count": 3, "seed": 1 << 64}}], 2,
              "seed must fit in 64 bits"),
             (["search", {**JOB, "row_space": {"kind": "RANDOM", "count": (1 << 64) + 1, "seed": 1}}], 2,

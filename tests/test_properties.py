@@ -609,7 +609,7 @@ class TestInvolutoryMdsTheorem:
         with pytest.warns(UserWarning, match="minor enumeration at k=15 is slow"):
             for n, row in enumerate(rows):
                 spec = GCirculantSpec(ctx11d, k, g, row)
-                assert square_is_identity(spec), row
+                assert square_is_identity(ctx11d, k, g, row), row
                 a = build_g_circulant(spec)
                 if n < 3:
                     assert a @ a == Matrix.identity(ctx11d, k)

@@ -7,9 +7,10 @@ import random
 import struct
 from collections import Counter
 from dataclasses import replace
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from math import gcd
+from operator import xor
 
 import pytest
 
@@ -173,6 +174,26 @@ class TestPrunedGBlocks:
         assert list(run_search(job, on_progress=walked)) == []
         assert walked.tokens() == list(range(self.COUNT))
         assert recorded["rows"] == [] and recorded["hash"] == 0
+
+    def test_spec_built_only_for_admitted_rows(self, gf16, monkeypatch):
+        # GF(2^4), k = 5, g = 4: about one row in 16 meets the l = 0 rule
+        # (the row sums to 1), and about one of those in 256 squares to I
+        built = []
+        original = search_mod.GCirculantSpec
+
+        def spec(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(search_mod, "GCirculantSpec", spec)
+        count = 2000
+        job = SearchJob(gf16, 5, Target.INVOLUTORY_MDS, RowSpace(RowSpaceKind.RANDOM, count=count, seed=3), g_set=(4,))
+        collect(job)
+        zero_free = [row for row in map(job.row_at, [4] * count, range(count)) if 0 not in row]
+        admitted = [row for row in zero_free if is_involutory(build_left_circulant(gf16, row))]
+        summing_to_one = [row for row in zero_free if reduce(xor, row) == 1]
+        assert 0 < len(admitted) < len(summing_to_one)  # the quadratic stage rejects some rows
+        assert [s.row for s in built] == admitted
 
     def test_debug_recheck_rebuilds_every_pruned_candidate(self, ctx11d, recorded):
         job = self.job(ctx11d, debug_recheck=1.0)
@@ -550,9 +571,9 @@ def squared(monkeypatch):
     calls = []
     original = search_mod.square_is_identity
 
-    def record(spec):
-        verdict = original(spec)
-        calls.append((spec.row, verdict))
+    def record(ctx, k, g, row):
+        verdict = original(ctx, k, g, row)
+        calls.append((row, verdict))
         return verdict
 
     monkeypatch.setattr(search_mod, "square_is_identity", record)
@@ -741,7 +762,7 @@ class TestEnumeratedRows:
             stop = min(ordinal + rng.randrange(1, 5000), per_g)
             for lo, hi in (start, stop), (ordinal, stop), (start, ordinal):  # and an edge on a row
                 walked = [(o, job.row_at(g, o)) for o in range(lo, hi)]
-                walked = [(o, r) for o, r in walked if square_is_identity(GCirculantSpec(ctx, k, g, r))]
+                walked = [(o, r) for o, r in walked if square_is_identity(ctx, k, g, r)]
                 assert search_mod._enumerated_rows(job, g, lo, hi) == walked, (lo, hi)
                 assert ((ordinal, row) in walked) == (hi > ordinal)
 
