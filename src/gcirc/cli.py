@@ -136,8 +136,17 @@ def _read_json(path: str, what: str):
             raise ParseError(f"{what} {path!r} nests its arrays or objects too deeply to parse") from None
 
 
+def _refuse_field_flags(args, what: str) -> None:
+    """A file names its own field, so field flags next to one are refused."""
+    if args.field_m is not None or args.field_poly is not None:
+        raise ConfigError(f"--field-m and --field-poly do not apply to a {what}; its field block sets the field")
+
+
 def _load_check_input(args) -> Matrix:
     if args.input is not None:
+        if args.k is not None or args.g is not None or args.row is not None:
+            raise ConfigError("check takes an input file or --k/--g/--row, not both")
+        _refuse_field_flags(args, "check input file")
         obj = _read_json(args.input, "check input")
         if not isinstance(obj, dict):
             raise ParseError("check input must contain a JSON object")
@@ -199,13 +208,13 @@ def _cmd_sqrt1(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _refuse_field_flags(args, "job file")
     job = jsonio.job_from_json(_read_json(args.jobfile, "job file"))
     if args.seed is not None:
         job = replace(job, row_space=replace(job.row_space, seed=args.seed))
-    if args.resume is not None:
-        job = replace(job, resume_token=args.resume)
     if args.no_prune:
         job = replace(job, pruning=False)
+    resume_with = "--resume"
     if args.partition:
         try:
             part, total = (int(x) for x in args.partition.split("/"))
@@ -213,7 +222,15 @@ def _cmd_search(args) -> int:
             raise ConfigError(f"--partition expects I/N, got {excerpt(repr(args.partition))}") from None
         if not 1 <= part <= total:
             raise ConfigError(f"partition index {part} outside 1..{total}")
+        # the part is cut from the job's own window; --resume moves inside it
         job = job_part(job, part - 1, total)
+        resume_with = f"--partition {part}/{total} --resume"
+        lo, hi = job.window()
+        if args.resume is not None and not lo <= args.resume <= hi:
+            shown = "..".join(excerpt(str(t)) for t in (lo, hi))
+            raise ConfigError(f"resume token {excerpt(str(args.resume))} outside part {part}/{total}'s tokens {shown}")
+    if args.resume is not None:
+        job = replace(job, resume_token=args.resume)
 
     start = job.window()[0]
     started = time.monotonic()
@@ -241,7 +258,7 @@ def _cmd_search(args) -> int:
             progress["token"] = result.token
             print(line)
     except KeyboardInterrupt:
-        print(f"interrupted; resume with --resume {progress['token'] + 1}", file=sys.stderr)
+        print(f"interrupted; resume with {resume_with} {progress['token'] + 1}", file=sys.stderr)
         sys.stdout.flush()
         return EXIT_INTERRUPT
     elapsed = time.monotonic() - started

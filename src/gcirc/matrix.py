@@ -1,8 +1,8 @@
 """Dense exact-arithmetic matrices over a GF2m context, plus permutations.
 
 Matrices are immutable values; every operation returns a fresh matrix.
-Determinant and inverse share one Gaussian elimination code path with
-first-nonzero pivoting (row swaps carry no sign in characteristic 2).
+Determinant and inverse share one Gauss-Jordan pass with first-nonzero
+pivoting (row swaps carry no sign in characteristic 2).
 """
 
 from __future__ import annotations
@@ -100,53 +100,44 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.ctx, list(zip(*self.entries)))
 
-    # -- elimination-based operations (one shared forward pass)
+    # -- elimination-based operations (one shared Gauss-Jordan pass)
 
-    def _forward_eliminate(self, rows: list[list[int]]) -> int:
-        """In-place row echelon with first-nonzero pivoting; returns the
-        determinant of the leading square block. Row swaps carry no sign
-        in characteristic 2."""
-        ctx = self.ctx
+    def _eliminate(self, rows: list[list[int]]) -> int:
+        """In-place Gauss-Jordan on the leading square block with first-nonzero
+        pivoting: each pivot row is scaled to 1 and its column cleared in
+        every other row. Returns the determinant, or 0 when singular."""
+        mul, inv = self.ctx.mul, self.ctx.inv
         k = self.rows
         det = 1
         for col in range(k):
             pivot = next((r for r in range(col, k) if rows[r][col]), None)
             if pivot is None:
                 return 0
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = ctx.mul(det, rows[col][col])
-            inv_p = ctx.inv(rows[col][col])
-            for r in range(col + 1, k):
-                if rows[r][col]:
-                    f = ctx.mul(rows[r][col], inv_p)
-                    rows[r] = [x ^ ctx.mul(f, y) for x, y in zip(rows[r], rows[col])]
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = mul(det, rows[col][col])
+            inv_p = inv(rows[col][col])
+            prow = rows[col] = [mul(inv_p, x) for x in rows[col]]
+            for r, row in enumerate(rows):
+                f = row[col]
+                if f and r != col:
+                    rows[r] = [x ^ mul(f, y) for x, y in zip(row, prow)]
         return det
 
     def determinant(self) -> int:
-        """Exact determinant by Gaussian elimination."""
+        """Exact determinant by Gauss-Jordan elimination."""
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
-        return self._forward_eliminate([list(r) for r in self.entries])
+        return self._eliminate([list(r) for r in self.entries])
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan on [A | I]: the shared forward pass, then back
-        substitution."""
+        """Gauss-Jordan on [A | I]: the right half once A is reduced to I."""
         if not self.is_square:
             raise DimensionError("inverse needs a square matrix")
-        ctx = self.ctx
         k = self.rows
         aug = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(self.entries)]
-        if self._forward_eliminate(aug) == 0:
+        if self._eliminate(aug) == 0:
             raise SingularMatrixError("matrix is singular")
-        for col in range(k - 1, -1, -1):
-            inv_p = ctx.inv(aug[col][col])
-            aug[col] = [ctx.mul(inv_p, x) for x in aug[col]]
-            for r in range(col):
-                if aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x ^ ctx.mul(f, y) for x, y in zip(aug[r], aug[col])]
-        return Matrix(ctx, [r[k:] for r in aug])
+        return Matrix(self.ctx, [r[k:] for r in aug])
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         """The minor selected by strictly increasing row and column index lists."""

@@ -9,7 +9,7 @@ D1 * A * D2 = (A^{-1})^T. Witness pairs are only determined up to the
 scaling family (lam*D1, lam^{-1}*D2) per connected component of A's
 nonzero pattern (rows and columns joined by nonzero entries); detection
 spreads values from d2 = 1 at the smallest column of each component and
-then checks the identity once.
+checks each entry of a row when the spread first reaches that row.
 """
 
 from __future__ import annotations
@@ -165,9 +165,10 @@ def _solve_diagonal_sandwich(a: Matrix, b: Matrix) -> DiagonalPair | None:
     Each column not yet reached, smallest first, anchors a component with
     d2 = 1; values spread along A's nonzero entries, d1[i] = B[i,j] /
     (A[i,j]*d2[j]) and d2[j] = B[i,j] / (A[i,j]*d1[i]), with 0 marking an
-    unreached node. A zero B entry on a spreading edge or a row of A that
-    stays unreached has no pair; one check of the identity over all k^2
-    entries then decides every other mismatch and inconsistent back edge.
+    unreached node. A row's entries are checked when it is first reached:
+    a nonzero A entry in an unreached column needs a nonzero B entry and
+    gives the column its d2, every other entry must satisfy the identity
+    (B[i,t] = 0 where A[i,t] = 0). A row that stays unreached has no pair.
     """
     ctx, k = a.ctx, a.rows
     mul, inv = ctx.mul, ctx.inv
@@ -190,12 +191,10 @@ def _solve_diagonal_sandwich(a: Matrix, b: Matrix) -> DiagonalPair | None:
                                 return None
                             d2[t] = mul(y, inv(mul(x, di)))
                             reached.append(t)
+                        elif mul(mul(di, x), d2[t]) != y:
+                            return None
     if 0 in d1:
         return None
-    for x, arow, brow in zip(d1, ae, be):
-        for y, z, w in zip(arow, d2, brow):
-            if mul(mul(x, y), z) != w:
-                return None
     return _scaled_pair(ctx, d1, d2, k)
 
 

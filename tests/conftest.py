@@ -83,7 +83,7 @@ def laplace_det(a: Matrix) -> int:
 
 
 def elimination_mds(a: Matrix):
-    """is_mds by Gaussian elimination of every minor in (size, rows, cols)
+    """is_mds by Gauss-Jordan elimination of every minor in (size, rows, cols)
     order: (True, None) or (False, first singular (rows, cols))."""
     k = a.rows
     for size in range(1, k + 1):

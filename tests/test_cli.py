@@ -850,6 +850,33 @@ class TestInterruptResume:
             assert head + self.resumed_output(capsys, argv, err) == whole
 
 
+    @pytest.mark.parametrize("part", ["1/2", "2/3"])
+    def test_resume_inside_a_part(self, capsys, tmp_path, part):
+        # the resumed run walks the rest of the interrupted part, not a
+        # part of the rest of the window
+        argv = self.job_argv(tmp_path, "--partition", part)
+        _, whole, _ = run(capsys, argv)
+        n_hits = len(whole.splitlines())
+        assert n_hits > 3
+        for n in (1, n_hits // 2, n_hits - 1):
+            head = InterruptAfterLines(n)
+            with contextlib.redirect_stdout(head):
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 130
+            assert f"resume with --partition {part} --resume " in err
+            assert head.getvalue() + self.resumed_output(capsys, argv, err) == whole
+
+    def test_resumed_part_prints_no_hit_of_the_next(self, capsys, tmp_path):
+        # part 1/2 is tokens 0..7: resumed at 4 it walks 4..7, not 4..9
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(TestUsageErrors.JOB))
+        _, second, _ = run(capsys, ["search", str(path), "--partition", "2/2"])
+        _, resumed, _ = run(capsys, ["search", str(path), "--partition", "1/2", "--resume", "4"])
+        assert [json.loads(line)["ordinal"] for line in resumed.splitlines()] == [6, 7]
+        assert not set(resumed.splitlines()) & set(second.splitlines())
+
+
 class TestRepro:
     @pytest.mark.parametrize(
         "case_id",
@@ -884,6 +911,7 @@ class TestUsageErrors:
 
     FIELD = {"m": 2, "poly": "0x7"}
     JOB = {"field": FIELD, "k": 2, "target": "MDS_ONLY", "row_space": {"kind": "EXHAUSTIVE"}}
+    SPEC = {"k": 3, "g": 2, "row": ["0x1", "0x2", "0x3"], "field": FIELD}
     CYCLIC_65 = {"k": 65, "rho": [(i + 1) % 65 for i in range(65)], "row": ["0x1"] + ["0x0"] * 64, "field": FIELD}
 
     @pytest.mark.parametrize(
@@ -934,6 +962,19 @@ class TestUsageErrors:
              "'count' must be an integer, got 1.0"),
             (["sqrt1", "1"], 2, "modulus must be >= 2, got 1"),
             (["sqrt1", "1099511627776"], 3, "modulus 1099511627776 exceeds the 2^32 cap"),
+            # part 1/2 is tokens 0..7; 8 is its end, where nothing is left to walk
+            (["search", JOB, "--partition", "1/2", "--resume", "9"], 2,
+             "resume token 9 outside part 1/2's tokens 0..8"),
+            (["search", JOB, "--partition", "2/2", "--resume", "7"], 2,
+             "resume token 7 outside part 2/2's tokens 8..16"),
+            (["--field-m", "8", "--field-poly", "0x11d", "search", JOB], 2,
+             "--field-m and --field-poly do not apply to a job file; its field block sets the field"),
+            (["search", JOB, "--field-m", "2"], 2,
+             "--field-m and --field-poly do not apply to a job file; its field block sets the field"),
+            (["--field-m", "8", "--field-poly", "0x11d", "check", SPEC], 2,
+             "--field-m and --field-poly do not apply to a check input file; its field block sets the field"),
+            (["check", SPEC, "--k", "3", "--g", "2", "--row", "1", "a", "a^2"], 2,
+             "check takes an input file or --k/--g/--row, not both"),
         ],
     )
     def test_exact_message(self, capsys, tmp_path, argv, code, line):
@@ -948,8 +989,11 @@ class TestUsageErrors:
         # the message names a long literal or value by its head and length
         path = tmp_path / "check.json"
         path.write_text(json.dumps({"k": 2, "g": 1, "row": ["0x1", "0x0"], "field": {"m": "1" * 100000, "poly": "0x7"}}))
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(self.JOB))
         for argv in (FIELD_165 + ["build", "--k", "2", "--g", "1", "--row", "1", "0x" + "f" * 5000],
-                     ["check", str(path)]):
+                     ["check", str(path)],
+                     ["search", str(job), "--partition", "1/2", "--resume", "1" + "0" * 4000]):
             code, out, err = run(capsys, argv)
             assert (code, out, err.count("\n")) == (2, "", 1)
             assert err.startswith("error: ") and len(err.encode()) <= 200, err[:300]

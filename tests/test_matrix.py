@@ -2,11 +2,13 @@
 submatrices, and permutations."""
 
 import random
+from itertools import product
 
 import pytest
 
 from gcirc import (
     DimensionError,
+    GF2m,
     GCirculantSpec,
     Matrix,
     Permutation,
@@ -20,6 +22,13 @@ from conftest import laplace_det, perm_matrix
 
 def rand_matrix(rng, ctx, k):
     return Matrix(ctx, [[rng.randrange(ctx.q) for _ in range(k)] for _ in range(k)])
+
+
+def all_gf2_3x3():
+    """Every 3x3 matrix over GF(2): all 512 zero patterns, so every pivot
+    position and row swap the elimination can meet."""
+    gf2 = GF2m(1, 0x3)
+    return [Matrix(gf2, [bits[:3], bits[3:6], bits[6:]]) for bits in product((0, 1), repeat=9)]
 
 
 class TestProduct:
@@ -95,6 +104,8 @@ class TestDeterminant:
                 for _ in range(40):
                     a = rand_matrix(rng, ctx, k)
                     assert a.determinant() == laplace_det(a)
+        for a in all_gf2_3x3():
+            assert a.determinant() == laplace_det(a), a
 
     def test_multiplicativity(self, gf16):
         rng = random.Random(5)
@@ -140,6 +151,12 @@ class TestInverse:
                     a.inverse()
             else:
                 a.inverse()
+        for a in all_gf2_3x3():
+            if laplace_det(a) == 0:
+                with pytest.raises(SingularMatrixError):
+                    a.inverse()
+            else:
+                assert a @ a.inverse() == Matrix.identity(a.ctx, 3), a
 
     def test_semi_involutory_example_inverse(self, gf4):
         # inv(circulant(1, a^2)) equals diag(a,a) @ A @ I

@@ -476,6 +476,18 @@ class TestDetectionDifferential:
                         assert properties_mod._solve_diagonal_sandwich(a, changed) is None, (name, changed.entries)
                     hollow = Matrix(ctx, [[0] * k, *a.entries[1:]])  # d1[0] is left free: no pair
                     assert properties_mod._solve_diagonal_sandwich(hollow, plant(hollow, d1, d2)) is None
+                    # an all-zero column whose rows keep another nonzero: the column is
+                    # its own component, anchored at d2 = 1, and B must be zero on it
+                    cols = [j for j in range(k) if all(sum(map(bool, r)) > 1 for r in a.entries if r[j])]
+                    if cols:
+                        c = cols[-1]
+                        blank = Matrix(ctx, [[0 if j == c else x for j, x in enumerate(r)] for r in a.entries])
+                        b = plant(blank, d1, d2)
+                        pair = properties_mod._solve_diagonal_sandwich(blank, b)
+                        assert pair == anchored_plant(blank, d1, d2) and pair.d2[c] == 1, (name, c)
+                        stray = [list(r) for r in b.entries]
+                        stray[0][c] = d1[0]
+                        assert properties_mod._solve_diagonal_sandwich(blank, Matrix(ctx, stray)) is None
 
     def test_brute_force_gf4_k3(self, gf4):
         rng = random.Random(43)
