@@ -169,8 +169,6 @@ CASES = {
 
 def run_case(case_id: str) -> dict:
     """{"example": id, "facts": [{name, pass, detail}], "passed": bool}."""
-    if case_id not in CASES:
-        raise KeyError(case_id)
     facts = CASES[case_id]()
     return {
         "example": case_id,

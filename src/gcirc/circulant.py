@@ -29,13 +29,14 @@ from operator import xor
 
 from .errors import DimensionError, NotKCycleError
 from .field import GF2m
-from .matrix import MAX_DIM, Matrix, Permutation
+from .matrix import Matrix, Permutation, check_order
 
 
 @dataclass(frozen=True)
 class GCirculantSpec:
     """The (k, g, first row) triple that fully determines a g-circulant matrix.
 
+    A spec is valid when it is made: its order passes matrix.check_order.
     g is stored reduced mod k, and every g is allowed: g = 0 repeats the
     first row in every row, a g not coprime to k repeats rows too, and
     the entry law and the structured square hold for both.
@@ -47,8 +48,7 @@ class GCirculantSpec:
     row: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DimensionError(f"order must be >= 1, got {self.k}")
+        check_order(self.k)
         object.__setattr__(self, "g", self.g % self.k)
         object.__setattr__(self, "row", tuple(self.row))
         if len(self.row) != self.k:
@@ -57,7 +57,7 @@ class GCirculantSpec:
 
 @dataclass(frozen=True)
 class CyclicSpec:
-    """Order k, a k-cycle rho, and the first row of a cyclic matrix."""
+    """Order k (matrix.check_order), a k-cycle rho, and the first row of a cyclic matrix."""
 
     ctx: GF2m
     k: int
@@ -65,8 +65,7 @@ class CyclicSpec:
     row: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DimensionError(f"order must be >= 1, got {self.k}")
+        check_order(self.k)
         object.__setattr__(self, "row", tuple(self.row))
         if self.rho.size != self.k or len(self.row) != self.k:
             raise DimensionError("rho and row must both have size k")
@@ -77,8 +76,6 @@ class CyclicSpec:
 def build_g_circulant(spec: GCirculantSpec) -> Matrix:
     """Entry law A[i,j] = c_{(j - i*g) mod k}; row 0 is the given row."""
     k, g, row = spec.k, spec.g, spec.row
-    if k > MAX_DIM:  # Matrix's cap, checked before the k^2 entries are built
-        raise DimensionError(f"dimensions capped at {MAX_DIM}")
     return Matrix(spec.ctx, [[row[(j - i * g) % k] for j in range(k)] for i in range(k)])
 
 
@@ -94,8 +91,6 @@ def build_left_circulant(ctx: GF2m, row) -> Matrix:
 def build_cyclic(spec: CyclicSpec) -> Matrix:
     """Entry law C[i,j] = c_{rho^{-i}(j)}."""
     k = spec.k
-    if k > MAX_DIM:
-        raise DimensionError(f"dimensions capped at {MAX_DIM}")
     rho_inv = spec.rho.inverse()
     out = []
     index = list(range(k))  # rho^{-i} applied to each column index

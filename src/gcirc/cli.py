@@ -18,7 +18,7 @@ import signal
 import sys
 import time
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import catalog, jsonio
 from .circulant import CyclicSpec, GCirculantSpec, build_cyclic, build_g_circulant, square_structured
@@ -36,6 +36,15 @@ EXIT_RESOURCE = 3
 EXIT_INTERRUPT = 130
 
 
+def _integer(text: str, base: int = 10) -> int:
+    """The type of every integer argument: int(text, base), or argparse's
+    own `invalid int value` line with the value excerpted."""
+    try:
+        return int(text, base)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(repr(text))}") from None
+
+
 def _common_options(parser: argparse.ArgumentParser, root: bool) -> None:
     # on subparsers the defaults are suppressed so values given before the
     # subcommand survive
@@ -43,11 +52,11 @@ def _common_options(parser: argparse.ArgumentParser, root: bool) -> None:
         return value if root else argparse.SUPPRESS
 
     parser.add_argument(
-        "--field-m", type=int, default=dflt(None), help="extension degree m of GF(2^m)"
+        "--field-m", type=_integer, default=dflt(None), help="extension degree m of GF(2^m)"
     )
     parser.add_argument(
         "--field-poly",
-        type=lambda s: int(s, 0),
+        type=partial(_integer, base=0),
         default=dflt(None),
         help="irreducible modulus as a bitmask, e.g. 0x165",
     )
@@ -57,8 +66,8 @@ def _common_options(parser: argparse.ArgumentParser, root: bool) -> None:
 
 def _spec_options(parser: argparse.ArgumentParser, required: bool) -> None:
     """--k/--g/--row, the g-circulant spec of build, check and square."""
-    parser.add_argument("--k", type=int, required=required)
-    parser.add_argument("--g", type=int, required=required)
+    parser.add_argument("--k", type=_integer, required=required)
+    parser.add_argument("--g", type=_integer, required=required)
     parser.add_argument("--row", nargs="+", required=required, metavar="ELEM")
 
 
@@ -87,14 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _spec_options(add_parser("square", help="structured square of a g-circulant spec"), required=True)
 
     p_sqrt1 = add_parser("sqrt1", help="solutions of x^2 = 1 (mod k)")
-    p_sqrt1.add_argument("k", type=int)
+    p_sqrt1.add_argument("k", type=_integer)
 
     p_search = add_parser("search", help="run a search job from a JSON file")
     p_search.add_argument("jobfile")
-    p_search.add_argument("--resume", type=int, help="start token")
+    p_search.add_argument("--resume", type=_integer, help="start token")
     p_search.add_argument("--partition", help="I/N: run the I-th of N parts")
     p_search.add_argument("--no-prune", action="store_true")
-    p_search.add_argument("--seed", type=int, help="override the RANDOM row seed")
+    p_search.add_argument("--seed", type=_integer, help="override the RANDOM row seed")
 
     p_repro = add_parser("repro", help="reproduce a bundled reference case")
     p_repro.add_argument("example", help=f"one of {', '.join(catalog.CASES)}, or 'all'")
@@ -177,7 +186,7 @@ def _cmd_check(args) -> int:
 def _cmd_square(args) -> int:
     spec = _spec_from_args(args)
     ctx = spec.ctx
-    a = build_g_circulant(spec)  # refuses an oversized order before the O(k^2) square
+    a = build_g_circulant(spec)
     g2, row2 = square_structured(spec)
     verified = build_g_circulant(GCirculantSpec(ctx, spec.k, g2, row2)) == a @ a
     payload = {
@@ -221,7 +230,7 @@ def _cmd_search(args) -> int:
         except ValueError:
             raise ConfigError(f"--partition expects I/N, got {excerpt(repr(args.partition))}") from None
         if not 1 <= part <= total:
-            raise ConfigError(f"partition index {part} outside 1..{total}")
+            raise ConfigError(f"partition index {excerpt(str(part))} outside 1..{excerpt(str(total))}")
         # the part is cut from the job's own window; --resume moves inside it
         job = job_part(job, part - 1, total)
         resume_with = f"--partition {part}/{total} --resume"

@@ -131,9 +131,8 @@ class GF2m:
             raise BadDegreeError(
                 f"modulus {excerpt(f'{modulus:#x}')} has degree {poly_degree(modulus)}, expected {m}"
             )
-        if modulus & 1 == 0:
-            raise ReducibleModulusError(f"modulus {modulus:#x} is reducible: divisible by x")
-        if not is_irreducible(modulus):
+        # trial division by degrees 1..m/2 rejects every even modulus but x itself (m = 1)
+        if modulus == 0b10 or not is_irreducible(modulus):
             raise ReducibleModulusError(f"modulus {modulus:#x} is reducible")
         self.m = m
         self.modulus = modulus

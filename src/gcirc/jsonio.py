@@ -141,7 +141,7 @@ def matrix_from_json(obj: dict) -> Matrix:
     if "k" in obj:
         k = _typed(obj["k"], "k", _INT, "an integer", ParseError)
         if len(entries) != k or any(len(row) != k for row in entries):
-            raise ParseError(f"'k' is {k} but 'entries' is not {k}x{k}")
+            raise ParseError(f"'k' is {excerpt(str(k))} but 'entries' is not {excerpt(f'{k}x{k}')}")
     return Matrix(ctx, entries)
 
 

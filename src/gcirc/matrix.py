@@ -1,6 +1,8 @@
 """Dense exact-arithmetic matrices over a GF2m context, plus permutations.
 
 Matrices are immutable values; every operation returns a fresh matrix.
+check_order is the one order bound, 1 <= k <= MAX_DIM, of every
+g-circulant and cyclic spec and search job, checked when each is made.
 Determinant and inverse share one Gauss-Jordan pass with first-nonzero
 pivoting (row swaps carry no sign in characteristic 2).
 """
@@ -11,6 +13,14 @@ from .errors import DimensionError, SingularMatrixError, excerpt
 from .field import GF2m
 
 MAX_DIM = 64
+
+
+def check_order(k: int) -> None:
+    """Raise DimensionError unless 1 <= k <= MAX_DIM."""
+    if k < 1:
+        raise DimensionError(f"order must be >= 1, got {excerpt(str(k))}")
+    if k > MAX_DIM:
+        raise DimensionError(f"dimensions capped at {MAX_DIM}")
 
 
 class Matrix:
@@ -30,7 +40,7 @@ class Matrix:
         for r in rows:
             for e in r:
                 if not 0 <= e < ctx.q:
-                    raise ValueError(f"entry {e:#x} not reduced in GF(2^{ctx.m})")
+                    raise ValueError(f"entry {excerpt(f'{e:#x}')} not reduced in GF(2^{ctx.m})")
         self.ctx = ctx
         self.rows = len(rows)
         self.cols = cols

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import NotCoprimeError, SpaceTooLargeError
+from .errors import NotCoprimeError, SpaceTooLargeError, excerpt
 
 MAX_MODULUS = 1 << 32
 SCAN_CAP = 1 << 20
@@ -23,13 +23,13 @@ def mod_inverse(g: int, k: int) -> int:
     try:
         return pow(g, -1, k)
     except ValueError:
-        raise NotCoprimeError(f"{g} is not invertible mod {k}") from None
+        raise NotCoprimeError(f"{excerpt(str(g))} is not invertible mod {excerpt(str(k))}") from None
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization by trial division, as (prime, exponent) pairs."""
     if n < 1 or n > MAX_MODULUS:
-        raise ValueError(f"factorize expects 1 <= n <= 2^32, got {n}")
+        raise ValueError(f"factorize expects 1 <= n <= 2^32, got {excerpt(str(n))}")
     out = []
     p = 2
     while p * p <= n:
@@ -52,7 +52,7 @@ def predicted_sqrt_one_count(k: int) -> int:
     or 1, 2^(l+1) when m = 2, 2^(l+2) when m >= 3.
     """
     if k < 2:
-        raise ValueError(f"modulus must be >= 2, got {k}")
+        raise ValueError(f"modulus must be >= 2, got {excerpt(str(k))}")
     factors = factorize(k)
     m = next((e for p, e in factors if p == 2), 0)
     l = sum(1 for p, _ in factors if p != 2)
@@ -83,7 +83,7 @@ def _prime_power_sqrt_one(p: int, e: int) -> list[int]:
 def crt_sqrt_one_solutions(k: int) -> list[int]:
     """Solutions of x^2 = 1 (mod k) reconstructed prime power by prime power."""
     if k < 2:
-        raise ValueError(f"modulus must be >= 2, got {k}")
+        raise ValueError(f"modulus must be >= 2, got {excerpt(str(k))}")
     factors = factorize(k)
     moduli = [p**e for p, e in factors]
     residue_sets = [_prime_power_sqrt_one(p, e) for p, e in factors]
@@ -116,7 +116,7 @@ def sqrt_one_solutions(k: int) -> SqrtOneSolutions:
     would falsify the law the toolkit relies on.
     """
     if k > MAX_MODULUS:
-        raise SpaceTooLargeError(f"modulus {k} exceeds the 2^32 cap")
+        raise SpaceTooLargeError(f"modulus {excerpt(str(k))} exceeds the 2^32 cap")
     predicted = predicted_sqrt_one_count(k)
     sols = _scan_sqrt_one(k) if k <= SCAN_CAP else crt_sqrt_one_solutions(k)
     if len(sols) != predicted:

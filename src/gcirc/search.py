@@ -36,9 +36,9 @@ from .circulant import (
     square_is_identity,
     square_plan,
 )
-from .errors import ConfigError, DimensionError, RecheckError, ResumeTokenError, SpaceTooLargeError
+from .errors import ConfigError, RecheckError, ResumeTokenError, SpaceTooLargeError, excerpt
 from .field import GF2m
-from .matrix import MAX_DIM
+from .matrix import check_order
 from .properties import PropertyReport, full_report
 from .properties import is_mds  # noqa: F401  # kept as gcirc.search.is_mds, a name the benchmark's tracer test asserts
 
@@ -84,7 +84,8 @@ class RowSpace:
 
 @dataclass(frozen=True)
 class SearchJob:
-    """One deterministic search over (g, first row) candidates."""
+    """One deterministic search over (g, first row) candidates; its order
+    passes matrix.check_order when it is made."""
 
     ctx: GF2m
     k: int
@@ -98,27 +99,18 @@ class SearchJob:
     debug_recheck: float = 0.0  # fraction of pruned candidates to re-verify
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"order must be >= 1, got {self.k}")
-        if self.k > MAX_DIM:  # before the g set and the window, which grow with k
-            raise DimensionError(f"dimensions capped at {MAX_DIM}")
+        check_order(self.k)  # before the g set and the window, which grow with k
         constrained = self.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
+        left = (self.k - 1) % self.k  # the left-circulant g
         if self.g_set is None:
-            if constrained:
-                gs = ((self.k - 1) % self.k,)
-            else:
-                gs = tuple(g for g in range(self.k) if math.gcd(g, self.k) == 1)
+            gs = (left,) if constrained else tuple(g for g in range(self.k) if math.gcd(g, self.k) == 1)
         else:
             gs = tuple(sorted({g % self.k for g in self.g_set}))
             for g in gs:
                 if math.gcd(g, self.k) != 1:
                     raise ConfigError(f"g = {g} is not coprime to k = {self.k}")
-        if constrained:
-            left = (self.k - 1) % self.k
-            if gs != (left,):
-                raise ConfigError(
-                    f"constrained left-circulant rows fix g = k-1 = {left}, got g_set {gs}"
-                )
+            if constrained and gs != (left,):
+                raise ConfigError(f"constrained left-circulant rows fix g = k-1 = {left}, got g_set {excerpt(str(gs))}")
         object.__setattr__(self, "g_set", gs)
         if not 0.0 <= self.debug_recheck <= 1.0:
             raise ConfigError("debug_recheck must be a fraction in [0, 1]")
@@ -143,9 +135,9 @@ class SearchJob:
         stop = self.stop_token if self.stop_token is not None else total
         shown = total if total.bit_length() <= 64 else f"(over 2^{(total - 1).bit_length() - 1})"
         if not 0 <= start <= total:
-            raise ResumeTokenError(f"resume token {start} outside 0..{shown}")
+            raise ResumeTokenError(f"resume token {excerpt(str(start))} outside 0..{shown}")
         if not start <= stop <= total:
-            raise ResumeTokenError(f"stop token {stop} outside {start}..{shown}")
+            raise ResumeTokenError(f"stop token {excerpt(str(stop))} outside {excerpt(str(start))}..{shown}")
         return start, stop
 
     def row_at(self, g: int, ordinal: int) -> tuple[int, ...]:
@@ -402,7 +394,7 @@ def job_part(job: SearchJob, index: int, n_parts: int) -> SearchJob:
     n_parts contiguous sub-jobs. Concatenating the outputs of parts
     0..n_parts - 1 in order reproduces the single-job output exactly."""
     if not 0 <= index < n_parts:
-        raise ConfigError(f"part index {index} outside 0..{n_parts - 1}")
+        raise ConfigError(f"part index {excerpt(str(index))} outside 0..{excerpt(str(n_parts - 1))}")
     start, stop = job.window()
     span = stop - start
     return replace(

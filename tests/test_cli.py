@@ -14,7 +14,7 @@ import pytest
 import gcirc
 import gcirc.cli as cli_mod
 import gcirc.search as search_mod
-from gcirc import jsonio
+from gcirc import jsonio, modular
 from gcirc.cli import main
 
 FIELD_165 = ["--field-m", "8", "--field-poly", "0x165"]
@@ -975,6 +975,11 @@ class TestUsageErrors:
              "--field-m and --field-poly do not apply to a check input file; its field block sets the field"),
             (["check", SPEC, "--k", "3", "--g", "2", "--row", "1", "a", "a^2"], 2,
              "check takes an input file or --k/--g/--row, not both"),
+            # the spec's order is bounded before its row length is compared
+            (["--field-m", "2", "--field-poly", "0x7", "build", "--k", "65", "--g", "1", "--row", "1"], 2,
+             "dimensions capped at 64"),
+            (["--field-m", "4", "--field-poly", "0x12", "build", "--k", "1", "--g", "0", "--row", "1"], 2,
+             "modulus 0x12 is reducible"),
         ],
     )
     def test_exact_message(self, capsys, tmp_path, argv, code, line):
@@ -991,12 +996,55 @@ class TestUsageErrors:
         path.write_text(json.dumps({"k": 2, "g": 1, "row": ["0x1", "0x0"], "field": {"m": "1" * 100000, "poly": "0x7"}}))
         job = tmp_path / "job.json"
         job.write_text(json.dumps(self.JOB))
-        for argv in (FIELD_165 + ["build", "--k", "2", "--g", "1", "--row", "1", "0x" + "f" * 5000],
-                     ["check", str(path)],
-                     ["search", str(job), "--partition", "1/2", "--resume", "1" + "0" * 4000]):
+        huge = 10**4000
+        stop_job = tmp_path / "stop_job.json"
+        stop_job.write_text(json.dumps({**self.JOB, "stop_token": huge}))
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"k": huge, "entries": [["0x1"]], "field": self.FIELD}))
+        for argv, want in ((FIELD_165 + ["build", "--k", "2", "--g", "1", "--row", "1", "0x" + "f" * 5000], 2),
+                           (["check", str(path)], 2),
+                           (["search", str(job), "--partition", "1/2", "--resume", str(huge)], 2),
+                           (["search", str(job), "--resume", str(huge)], 2),
+                           (["search", str(job), "--resume", str(-huge)], 2),
+                           (["search", str(stop_job)], 2),
+                           (["search", str(job), "--partition", f"{huge}/3"], 2),
+                           (["check", str(matrix)], 2),
+                           (["sqrt1", str(huge)], 3),
+                           (["sqrt1", str(-huge)], 2)):
             code, out, err = run(capsys, argv)
-            assert (code, out, err.count("\n")) == (2, "", 1)
+            assert (code, out, err.count("\n")) == (want, "", 1), argv[:3]
             assert err.startswith("error: ") and len(err.encode()) <= 200, err[:300]
+        # library checks that no command reaches with such a value excerpt it too
+        ctx = gcirc.GF2m(2, 0x7)
+        for call in (lambda: search_mod.job_part(jsonio.job_from_json(self.JOB), huge, huge),
+                     lambda: modular.factorize(huge),
+                     lambda: modular.crt_sqrt_one_solutions(-huge),
+                     lambda: modular.mod_inverse(2 * huge, 4 * huge),
+                     lambda: gcirc.Matrix(ctx, [[1 << 20000]])):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert len(f"error: {info.value}\n".encode()) <= 200, str(info.value)[:300]
+        # argparse's own line for a bad integer argument, excerpted the same way
+        bad = "9" * 4999 + "x"
+        for argv, last in ((FIELD_165 + ["build", "--k", bad, "--g", "1", "--row", "1"], "gcirc build: error: argument --k"),
+                           (FIELD_165 + ["build", "--k", "1", "--g", bad, "--row", "1"], "gcirc build: error: argument --g"),
+                           (["search", str(job), "--resume", bad], "gcirc search: error: argument --resume"),
+                           (["search", str(job), "--seed", bad], "gcirc search: error: argument --seed"),
+                           (["--field-m", bad, "sqrt1", "5"], "gcirc: error: argument --field-m"),
+                           (["--field-poly", "0x" + "f" * 4999 + "z", "sqrt1", "5"], "gcirc: error: argument --field-poly"),
+                           (["sqrt1", bad], "gcirc sqrt1: error: argument k")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            line = err.splitlines()[-1]
+            assert (exc.value.code, out) == (2, "")
+            assert line.startswith(f"{last}: invalid int value: '") and len(line.encode()) <= 200, line[:300]
+        # a short bad value is named in full, by the same line for every integer argument
+        for argv, last in ((["search", str(job), "--resume", "1.5"], "gcirc search: error: argument --resume: invalid int value: '1.5'"),
+                           (["--field-poly", "zz", "sqrt1", "5"], "gcirc: error: argument --field-poly: invalid int value: 'zz'")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert (exc.value.code, capsys.readouterr().err.splitlines()[-1]) == (2, last)
 
 
 class TestFormatting:

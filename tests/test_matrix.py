@@ -7,16 +7,22 @@ from itertools import product
 import pytest
 
 from gcirc import (
+    CyclicSpec,
     DimensionError,
     GF2m,
     GCirculantSpec,
     Matrix,
     Permutation,
+    RowSpace,
+    RowSpaceKind,
+    SearchJob,
     SingularMatrixError,
+    Target,
     build_circulant,
     build_g_circulant,
     build_left_circulant,
 )
+from gcirc.matrix import check_order
 from conftest import laplace_det, perm_matrix
 
 
@@ -60,6 +66,20 @@ class TestProduct:
     def test_dimension_cap(self, gf16):
         with pytest.raises(DimensionError):
             Matrix(gf16, [[0] * 65 for _ in range(65)])
+
+    @pytest.mark.parametrize("k, message", [(0, "order must be >= 1, got 0"), (-3, "order must be >= 1, got -3"),
+                                            (65, "dimensions capped at 64")])
+    def test_order_bound_checked_when_made(self, gf4, k, message):
+        # check_order bounds every spec and job of order k when it is made, before its row is read
+        check_order(1)
+        check_order(64)
+        for make in (lambda: check_order(k),
+                     lambda: GCirculantSpec(gf4, k, 1, (1,)),
+                     lambda: CyclicSpec(gf4, k, Permutation([0]), (1,)),
+                     lambda: SearchJob(gf4, k, Target.MDS_ONLY, RowSpace(RowSpaceKind.EXHAUSTIVE))):
+            with pytest.raises(DimensionError) as info:
+                make()
+            assert str(info.value) == message
 
     def test_unreduced_entry_rejected(self, gf4):
         with pytest.raises(ValueError):
