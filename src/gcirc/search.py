@@ -101,7 +101,7 @@ class SearchJob:
     def __post_init__(self):
         check_order(self.k)  # before the g set and the window, which grow with k
         constrained = self.row_space.kind is RowSpaceKind.CONSTRAINED_LEFT_CIRCULANT
-        left = (self.k - 1) % self.k  # the left-circulant g
+        left = self.k - 1  # the left-circulant g
         if self.g_set is None:
             gs = (left,) if constrained else tuple(g for g in range(self.k) if math.gcd(g, self.k) == 1)
         else:

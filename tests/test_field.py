@@ -46,6 +46,9 @@ class TestConstruction:
     def test_missing_constant_term_rejected(self):
         with pytest.raises(ReducibleModulusError):
             GF2m(4, 0x12)
+        # x itself, which trial division up to degree m/2 never tries
+        with pytest.raises(ReducibleModulusError):
+            GF2m(1, 0x2)
 
     def test_degree_mismatch(self):
         with pytest.raises(BadDegreeError):
