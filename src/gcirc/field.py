@@ -10,12 +10,13 @@ division.
 
 Every field multiplies, inverts and raises to powers through one pair
 of log/antilog tables, kept as `array('H')` above m = 8 (0.4 MB at
-m = 16, where int lists would take 5.75 MB). A context fetches them on
-its first arithmetic call from a process-wide cache keyed by
-(m, modulus), so construction stays cheap and each field's tables are
-built once; fetching is idempotent, so contexts stay safe to share
-across threads. Schoolbook multiplication only builds them. Field
-blocks and element lists from outside are read by `gcirc.jsonio`.
+m = 16, where int lists would take 5.75 MB). They are built once per
+(m, modulus) per process by walking each candidate generator's powers
+with schoolbook multiplication until one walk covers every unit, and a
+context reads them on its first arithmetic call, so construction stays
+cheap; reading is idempotent, so contexts stay safe to share across
+threads. Field blocks and element lists from outside are read by
+`gcirc.jsonio`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from array import array
 from functools import lru_cache
 
 from .errors import BadDegreeError, OutOfRangeError, ParseError, ReducibleModulusError, excerpt
-from .modular import factorize
 
 MAX_DEGREE = 16
 
@@ -73,17 +73,6 @@ def _mul_schoolbook(a: int, b: int, modulus: int) -> int:
     return r
 
 
-def _pow_schoolbook(a: int, e: int, modulus: int) -> int:
-    """a^e by square-and-multiply over _mul_schoolbook."""
-    r = 1
-    while e:
-        if e & 1:
-            r = _mul_schoolbook(r, a, modulus)
-        a = _mul_schoolbook(a, a, modulus)
-        e >>= 1
-    return r
-
-
 @lru_cache(maxsize=None)
 def _tables(m: int, modulus: int) -> tuple:
     """Antilog and log tables of GF(2^m) mod `modulus`, one pair per field
@@ -91,22 +80,25 @@ def _tables(m: int, modulus: int) -> tuple:
 
     exp[i] = g^i for the smallest generator g and 0 <= i < 2(q-1), so a
     sum of two logs indexes exp without reduction; log[0] is unused.
-    A candidate g generates iff g^((q-1)/p) != 1 for every prime p
-    dividing q-1, so only the generator's powers are walked.
+    Each candidate's powers are written into exp and log until they
+    return to 1; the first walk of q-1 steps is the generator's, and it
+    overwrites every entry a shorter walk wrote.
     """
     q = 1 << m
     n = q - 1
-    primes = [p for p, _ in factorize(n)]
-    gen = next(
-        g for g in range(1, q) if all(_pow_schoolbook(g, n // p, modulus) != 1 for p in primes)
-    )
     exp = array("H", bytes(4 * n))
     log = array("H", bytes(2 * q))
-    x = 1
-    for i in range(n):
-        exp[i] = x
-        log[x] = i
-        x = _mul_schoolbook(x, gen, modulus)
+    for gen in range(1, q):
+        x, i = 1, 0
+        while True:
+            exp[i] = x
+            log[x] = i
+            i += 1
+            x = _mul_schoolbook(x, gen, modulus)
+            if x == 1:
+                break
+        if i == n:
+            break
     exp[n:] = exp[:n]
     if m <= 8:  # entries are cached small ints: a list costs no more and indexes faster
         return exp.tolist(), log.tolist()
@@ -132,11 +124,15 @@ class GF2m:
                 f"modulus {excerpt(f'{modulus:#x}')} has degree {poly_degree(modulus)}, expected {m}"
             )
         # trial division by degrees 1..m/2 rejects every even modulus but x itself (m = 1)
-        if modulus == 0b10 or not is_irreducible(modulus):
+        if modulus == 0b10:
+            raise ReducibleModulusError("modulus 0x2 is refused: the element a = x reduces to 0")
+        if not is_irreducible(modulus):
             raise ReducibleModulusError(f"modulus {modulus:#x} is reducible")
         self.m = m
         self.modulus = modulus
         self.q = 1 << m
+        # plain attributes, not cached_property: a class attribute of the same name stops
+        # CPython 3.11 from specializing the instance load, and mul ran 45% slower
         self._exp = self._log = None
 
     def _load_tables(self) -> None:

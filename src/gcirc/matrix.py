@@ -1,7 +1,8 @@
-"""Dense exact-arithmetic matrices over a GF2m context, plus permutations.
+"""Dense exact-arithmetic k x k matrices over a GF2m context, plus
+permutations.
 
 Matrices are immutable values; every operation returns a fresh matrix.
-check_order is the one order bound, 1 <= k <= MAX_DIM, of every
+check_order is the one order bound, 1 <= k <= MAX_DIM, of every matrix,
 g-circulant and cyclic spec and search job, checked when each is made.
 Determinant and inverse share one Gauss-Jordan pass with first-nonzero
 pivoting (row swaps carry no sign in characteristic 2).
@@ -24,26 +25,23 @@ def check_order(k: int) -> None:
 
 
 class Matrix:
-    """A rows x cols matrix of int-encoded GF(2^m) elements, row-major."""
+    """A k x k matrix of int-encoded GF(2^m) elements, row-major; rows is k."""
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    __slots__ = ("ctx", "rows", "entries")
 
     def __init__(self, ctx: GF2m, entries):
         rows = tuple(tuple(r) for r in entries)
-        if not rows or not rows[0]:
-            raise DimensionError("matrix must have at least one row and column")
-        cols = len(rows[0])
-        if any(len(r) != cols for r in rows):
-            raise DimensionError("ragged rows")
-        if len(rows) > MAX_DIM or cols > MAX_DIM:
-            raise DimensionError(f"dimensions capped at {MAX_DIM}")
+        k = len(rows)
+        for i, r in enumerate(rows):
+            if len(r) != k:
+                raise DimensionError(f"matrix must be {k}x{k}, row {i} has length {len(r)}")
+        check_order(k)
         for r in rows:
             for e in r:
                 if not 0 <= e < ctx.q:
                     raise ValueError(f"entry {excerpt(f'{e:#x}')} not reduced in GF(2^{ctx.m})")
         self.ctx = ctx
-        self.rows = len(rows)
-        self.cols = cols
+        self.rows = k
         self.entries = rows
 
     @classmethod
@@ -66,16 +64,12 @@ class Matrix:
 
     def __repr__(self):
         body = "; ".join(" ".join(self.ctx.format_hex(e) for e in r) for r in self.entries)
-        return f"Matrix({self.rows}x{self.cols}, [{body}])"
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+        return f"Matrix({self.rows}x{self.rows}, [{body}])"
 
     # -- ring operations
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if other.ctx != self.ctx or (other.rows, other.cols) != (self.rows, self.cols):
+        if other.ctx != self.ctx or other.rows != self.rows:
             raise DimensionError("shape or field mismatch")
         return Matrix(
             self.ctx,
@@ -87,8 +81,8 @@ class Matrix:
             return NotImplemented
         if other.ctx != self.ctx:
             raise DimensionError("operands live in different fields")
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if self.rows != other.rows:
+            raise DimensionError(f"cannot multiply {self.rows}x{self.rows} by {other.rows}x{other.rows}")
         mul = self.ctx.mul
         bt = list(zip(*other.entries))
         out = []
@@ -113,7 +107,7 @@ class Matrix:
     # -- elimination-based operations (one shared Gauss-Jordan pass)
 
     def _eliminate(self, rows: list[list[int]]) -> int:
-        """In-place Gauss-Jordan on the leading square block with first-nonzero
+        """In-place Gauss-Jordan on the leading k x k block with first-nonzero
         pivoting: each pivot row is scaled to 1 and its column cleared in
         every other row. Returns the determinant, or 0 when singular."""
         mul, inv = self.ctx.mul, self.ctx.inv
@@ -135,14 +129,10 @@ class Matrix:
 
     def determinant(self) -> int:
         """Exact determinant by Gauss-Jordan elimination."""
-        if not self.is_square:
-            raise DimensionError("determinant needs a square matrix")
         return self._eliminate([list(r) for r in self.entries])
 
     def inverse(self) -> "Matrix":
         """Gauss-Jordan on [A | I]: the right half once A is reduced to I."""
-        if not self.is_square:
-            raise DimensionError("inverse needs a square matrix")
         k = self.rows
         aug = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(self.entries)]
         if self._eliminate(aug) == 0:
@@ -150,11 +140,12 @@ class Matrix:
         return Matrix(self.ctx, [r[k:] for r in aug])
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        """The minor selected by strictly increasing row and column index lists."""
-        for name, idx, bound in (("row", row_idx, self.rows), ("col", col_idx, self.cols)):
-            if not idx:
-                raise DimensionError(f"empty {name} index set")
-            if any(i < 0 or i >= bound for i in idx):
+        """The minor selected by strictly increasing row and column index lists
+        of one length (Matrix refuses an empty one)."""
+        if len(row_idx) != len(col_idx):
+            raise DimensionError(f"a minor needs as many rows as columns, got {len(row_idx)} and {len(col_idx)}")
+        for name, idx in (("row", row_idx), ("col", col_idx)):
+            if any(i < 0 or i >= self.rows for i in idx):
                 raise DimensionError(f"{name} index out of range: {list(idx)}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise DimensionError(f"{name} indices must be strictly increasing: {list(idx)}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
-from .errors import DimensionError, SingularMatrixError, SpaceTooLargeError
+from .errors import SingularMatrixError, SpaceTooLargeError
 from .field import GF2m
 from .matrix import Matrix
 
@@ -120,8 +120,6 @@ def is_mds(a: Matrix):
     C - j), from the minors one size smaller, kept per row set in an
     array('H') indexed like the column sets, through a plan cached per size.
     """
-    if not a.is_square:
-        raise DimensionError("MDS check needs a square matrix")
     k = a.rows
     if k >= MDS_HARD_CAP:
         raise SpaceTooLargeError(f"full minor enumeration refused for k >= {MDS_HARD_CAP}")

@@ -208,10 +208,33 @@ def target_satisfied(report: PropertyReport, target: Target) -> bool:
 
 
 def _g_pruned(job: SearchJob, g: int) -> bool:
-    """True when an exact theorem filter rules out every row of g's block."""
+    """True when an exact theorem filter rules out every row of g's block.
+
+    For SEMI_INVOLUTORY_MDS that is g = 1 with odd k > 1: no zero-free
+    circulant A = circ(c) of odd order k > 1 is semi-involutory.
+
+    The law for g = 1: if B is a circulant and D1*A*D2 = B, then
+    d1[i]*d2[j] = B[i,j]/A[i,j] is unchanged by (i, j) -> (i+1, j+1), so
+    d1[i+1]/d1[i] = d2[j]/d2[j+1] is one constant lam for all i, j, and
+    going once round gives lam^k = 1. Anchoring d2[0] = 1 and calling
+    d1[0] = s, D1*A*D2 = s*circ(c(lam^-1 x)) in R = GF(2^m)[x]/(x^k - 1).
+    A^-1 is a circulant, so A is semi-involutory iff
+    c(lam^-1 x)*c(x) = s^-1 in R for some s != 0 and lam^k = 1.
+    - lam = 1: c(x)^2 = sum c_i^2 x^(2i) in characteristic 2, and i -> 2i
+      is a bijection mod odd k, so c_i = 0 for every i != 0.
+    - lam != 1, of odd order k' >= 3 dividing k: in a splitting field let
+      zeta be a primitive k-th root of unity, a_j = c(zeta^j) and
+      lam = zeta^t. Then a_(j-t)*a_j = s^-1 for all j, so
+      a_j = a_(j-2t). The step 2t generates the same subgroup H of Z_k as
+      t (2 is invertible mod k), so a is constant on the cosets of H, and
+      its inverse DFT has c_i = 0 unless k' | i: c_1 = 0.
+    Either way some entry of the row is 0, so A is not MDS.
+    """
+    k = job.k
+    if job.target is Target.SEMI_INVOLUTORY_MDS:
+        return g == 1 and k > 1 and k % 2 == 1
     if job.target is not Target.INVOLUTORY_MDS:
         return False
-    k = job.k
     power_of_two = job.prune_power_of_two and k >= 4 and k & (k - 1) == 0  # no involutory MDS of order 2^d
     if power_of_two or not involutory_g_filter(g, k):
         return True

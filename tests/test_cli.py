@@ -929,9 +929,10 @@ class TestUsageErrors:
             (["check", {"k": 2, "rho": [1, 0], "row": ["0x1"], "field": FIELD}], 2,
              "rho and row must both have size k"),
             (["check", CYCLIC_65], 2, "dimensions capped at 64"),
-            (["check", {"entries": [], "field": FIELD}], 2, "matrix must have at least one row and column"),
-            (["check", {"entries": [["0x1", "0x0"], ["0x1"]], "field": FIELD}], 2, "ragged rows"),
-            (["check", {"entries": [["0x1", "0x0"]], "field": FIELD}], 2, "MDS check needs a square matrix"),
+            (["check", {"entries": [], "field": FIELD}], 2, "order must be >= 1, got 0"),
+            (["check", {"entries": [["0x1", "0x0"], ["0x1"]], "field": FIELD}], 2,
+             "matrix must be 2x2, row 1 has length 1"),
+            (["check", {"entries": [["0x1", "0x0"]], "field": FIELD}], 2, "matrix must be 1x1, row 0 has length 2"),
             (["check", {"k": 2, "row": ["0x1", "0x0"], "field": FIELD}], 2, "spec JSON needs either 'g' or 'rho'"),
             (["check", {"k": 2, "g": 1, "rho": [1, 0], "row": ["0x1", "0x2"], "field": FIELD}], 2,
              "spec JSON sets both 'g' and 'rho'; give one"),

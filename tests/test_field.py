@@ -46,8 +46,9 @@ class TestConstruction:
     def test_missing_constant_term_rejected(self):
         with pytest.raises(ReducibleModulusError):
             GF2m(4, 0x12)
-        # x itself, which trial division up to degree m/2 never tries
-        with pytest.raises(ReducibleModulusError):
+        # x itself, which trial division up to degree m/2 never tries: it is
+        # irreducible, but the element a = x is 0 there
+        with pytest.raises(ReducibleModulusError, match=r"^modulus 0x2 is refused: the element a = x reduces to 0$"):
             GF2m(1, 0x2)
 
     def test_degree_mismatch(self):
@@ -91,9 +92,9 @@ class TestAddMul:
     def test_add_examples(self, ctx165):
         # addition is xor of coefficient vectors, as Matrix.__add__ does it entrywise
         assert ctx165.parse("1+a") == 0x03 and ctx165.parse("1+a+a^3+a^4") == 0x1B
-        a = Matrix(ctx165, [[0x05, 0x02, 0x1B]])
-        b = Matrix(ctx165, [[0x05, 0x01, 0x0D]])
-        assert a + b == Matrix(ctx165, [[0x00, 0x03, 0x16]])
+        a = Matrix(ctx165, [[0x05, 0x02], [0x1B, 0x1B]])
+        b = Matrix(ctx165, [[0x05, 0x01], [0x0D, 0x1B]])
+        assert a + b == Matrix(ctx165, [[0x00, 0x03], [0x16, 0x00]])
 
     def test_mul_one_step_reduction(self, ctx165, ctx11d, gf4):
         assert ctx11d.mul(0x02, 0x80) == 0x1D
@@ -212,7 +213,8 @@ class TestPrimitivity:
             assert sorted(ctx.pow(gen, i) for i in range(ctx.q - 1)) == list(range(1, ctx.q))
             assert ctx.pow(gen, ctx.q - 1) == 1
 
-    @pytest.mark.parametrize("m, poly", ORACLE_PARAMS)
+    # a is not primitive mod 0x11B (order 51) or 0x1008D (smallest generator 6)
+    @pytest.mark.parametrize("m, poly", ORACLE_PARAMS + [(8, 0x11B), (16, 0x1008D)])
     def test_tables_match_schoolbook_walk(self, m, poly):
         # the generator is the smallest element of order q-1, found by walking
         # every candidate's powers with the schoolbook oracle
@@ -230,6 +232,19 @@ class TestPrimitivity:
         exp, log = _tables(m, poly)
         assert list(exp) == powers + powers
         assert [log[x] for x in powers] == list(range(n))
+
+    def test_tables_built_on_first_arithmetic(self):
+        # GF(2^7) mod 0x89 is used by no other test, so its tables are not cached yet
+        before = _tables.cache_info()
+        ctx = GF2m(7, 0x89)
+        assert _tables.cache_info() == before
+        assert ctx.mul(0x02, 0x40) == 0x09  # x^7 = x^3 + 1
+        after = _tables.cache_info()
+        assert (after.misses, after.currsize) == (before.misses + 1, before.currsize + 1)
+        for other in (ctx, GF2m(7, 0x89)):
+            assert other.inv(0x02) == 0x44 and other.pow(0x02, 7) == 0x09  # x (x^6 + x^2) = 1
+            assert other.root_of_unity(127) == 0x02
+        assert (_tables.cache_info().misses, _tables.cache_info().currsize) == (after.misses, after.currsize)
 
     @pytest.mark.parametrize("m, poly", CONTEXT_PARAMS)
     def test_root_of_unity_has_order_n(self, m, poly):

@@ -223,6 +223,11 @@ class TestSubmatrix:
             a.submatrix([0], [3])
         with pytest.raises(DimensionError):
             a.submatrix([], [0])
+        # a minor is square: index lists of unequal length are refused
+        with pytest.raises(DimensionError, match="as many rows as columns, got 2 and 1"):
+            a.submatrix([0, 1], [2])
+        with pytest.raises(DimensionError, match="order must be >= 1, got 0"):
+            a.submatrix([], [])
 
 
 class TestPermutation:

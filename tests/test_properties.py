@@ -280,7 +280,7 @@ def component_anchors(a: Matrix) -> list[int]:
     """The smallest column of each connected component of the bipartite
     graph with an edge per nonzero entry: columns sharing a nonzero row
     are joined by union-find."""
-    parent = list(range(a.cols))
+    parent = list(range(a.rows))
 
     def root(j):
         while parent[j] != j:
@@ -291,7 +291,7 @@ def component_anchors(a: Matrix) -> list[int]:
         cols = [j for j, x in enumerate(row) if x]
         for j in cols[1:]:
             parent[root(j)] = root(cols[0])
-    return [j for j in range(a.cols) if all(root(i) != root(j) for i in range(j))]
+    return [j for j in range(a.rows) if all(root(i) != root(j) for i in range(j))]
 
 
 def random_dense_block(rng, ctx, size):
@@ -311,7 +311,7 @@ def block_diagonal(ctx, blocks, perm=None):
     at = 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
+            for j in range(b.rows):
                 entries[perm[at + i]][perm[at + j]] = b[i, j]
         at += b.rows
     return Matrix(ctx, entries)
@@ -364,7 +364,7 @@ class TestAnchoring:
                         continue
                     assert all(pair.d2[j] == 1 for j in anchors), (name, a.entries, pair)
                     for i in range(a.rows):
-                        for j in range(a.cols):
+                        for j in range(a.rows):
                             assert ctx.mul(pair.d1[i], ctx.mul(a[i, j], pair.d2[j])) == b[i, j]
 
     def test_component_anchors_oracle(self, gf16):

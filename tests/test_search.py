@@ -28,6 +28,7 @@ from gcirc import (
     SearchJob,
     SpaceTooLargeError,
     Target,
+    build_circulant,
     build_g_circulant,
     build_left_circulant,
     full_report,
@@ -38,7 +39,16 @@ from gcirc import (
 from gcirc.circulant import involutory_row_count
 from gcirc.jsonio import job_from_json, result_to_json
 from gcirc.search import job_part
-from conftest import RangeLog, diagonal, elimination_mds, is_involutory, job_to_json, sandwich_pair_exists, schoolbook_pow
+from conftest import (
+    RangeLog,
+    diagonal,
+    elimination_mds,
+    is_involutory,
+    job_to_json,
+    random_row,
+    sandwich_pair_exists,
+    schoolbook_pow,
+)
 
 # every candidate of the three exhaustive spaces; the GF(2^4), k = 3
 # sample adds non-symmetric g-circulants, on which involutory and
@@ -204,6 +214,56 @@ class TestPrunedGBlocks:
         assert [(s.g, s.row) for s in recorded["built"]] == [
             (g, job.row_at(g, o)) for g in job.g_set for o in range(self.COUNT)
         ]
+
+
+class TestSemiInvolutoryGBlock:
+    """For SEMI_INVOLUTORY_MDS with odd k > 1 the g = 1 block is pruned:
+    no zero-free circulant of odd order k > 1 is semi-involutory."""
+
+    def test_rule_is_g_1_with_odd_k(self, gf4):
+        # INVOLUTORY_MDS has rules of its own (TestAdmittedRows); no other target prunes a block
+        for k in range(1, 65):
+            for target in (Target.SEMI_INVOLUTORY_MDS, Target.SEMI_ORTHOGONAL_MDS, Target.MDS_ONLY):
+                job = exhaustive_job(gf4, k, target)
+                for g in job.g_set:
+                    rule = target is Target.SEMI_INVOLUTORY_MDS and g == 1 and k % 2 == 1 and k > 1
+                    assert search_mod._g_pruned(job, g) == rule, (k, g, target)
+
+    def test_gf16_k3_block_has_no_semi_involutory_row(self, gf16):
+        # every zero-free row, through the dense detector
+        semi = [row for row in product(range(1, 16), repeat=3)
+                if full_report(build_circulant(gf16, row)).semi_involutory is not None]
+        assert semi == []
+        # while c_0 * I, which has zero entries, is semi-involutory
+        assert full_report(build_circulant(gf16, (5, 0, 0))).semi_involutory is not None
+
+    @pytest.mark.parametrize("m, modulus, k", [(4, 0x13, 5), (3, 0xB, 7)])
+    def test_seeded_sample_has_no_semi_involutory_row(self, m, modulus, k):
+        # k divides q - 1, so GF(2^m) holds the k-th roots of unity of the lam != 1 case
+        ctx, rng = GF2m(m, modulus), random.Random(k)
+        for _ in range(200):
+            row = random_row(rng, ctx, k, nonzero=True)
+            assert full_report(build_circulant(ctx, row)).semi_involutory is None, row
+
+    def test_pruned_window_builds_no_g_1_row_unless_rechecked(self, gf16, monkeypatch):
+        # tokens 3500..4599 span the end of the g = 1 block (4096 tokens) and the start of g = 2
+        built = []
+
+        def build(spec):
+            built.append(spec)
+            return build_g_circulant(spec)
+
+        monkeypatch.setattr(search_mod, "build_g_circulant", build)
+        job = exhaustive_job(gf16, 3, Target.SEMI_INVOLUTORY_MDS, resume_token=3500, stop_token=4600)
+        walked = RangeLog()
+        hits = list(run_search(job, on_progress=walked))
+        assert hits and walked.tokens() == list(range(3500, 4600))
+        assert {spec.g for spec in built} == {2}
+        assert hits == collect(replace(job, pruning=False))
+        built.clear()
+        assert collect(replace(job, debug_recheck=1.0)) == hits
+        # the recheck runs the unpruned job, which builds every row of the block, zero entries too
+        assert [spec.row for spec in built if spec.g == 1] == [job.row_at(1, o) for o in range(3500, 4096)]
 
 
 def square_roots_of_one(k):

@@ -28,6 +28,19 @@ def test_only_matrix_reads_max_dim():
         if any(tok.type == tokenize.NAME and tok.string == "MAX_DIM" for tok in tokens):
             found.append(path.name)
     assert found == ["matrix.py"]
+    # and inside matrix.py only check_order reads it, so a Matrix is bounded through check_order too
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, ast.Name) and node.id == "MAX_DIM" and isinstance(node.ctx, ast.Load):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((SRC / "matrix.py").read_bytes()), "<module>")
+    assert readers == {"check_order"}
 
 
 def test_every_file_parses_as_python_3_10():
